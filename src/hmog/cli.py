@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .hierarchical import hmog_classify_batch, hmog_project_batch
-from .optim import AdamConfig
 from .pipeline import (
     FitConfig,
     canonical_json,
@@ -52,9 +51,9 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hmog-iters", type=int, default=800,
                         help="unified EM iterations (hmog methods)")
     parser.add_argument("--adam-lr", type=float, default=1e-4,
-                        help="Adam learning rate for the maximization step")
+                        help="deprecated and ignored: the maximization step is exact")
     parser.add_argument("--adam-steps", type=int, default=2000,
-                        help="Adam steps per maximization step")
+                        help="deprecated and ignored: the maximization step is exact")
     parser.add_argument("--restarts", type=int, default=10,
                         help="independent restarts (best kept)")
 
@@ -67,7 +66,6 @@ def _config(args: argparse.Namespace, latent_dim: int, clusters: int) -> FitConf
         stage1_iters=args.stage_iters,
         stage2_iters=args.stage_iters,
         hmog_iters=args.hmog_iters,
-        adam=AdamConfig(learning_rate=args.adam_lr, steps=args.adam_steps),
         restarts=args.restarts,
         seed=args.seed,
     )
@@ -121,9 +119,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _model_and_points(args: argparse.Namespace):
+    """Load the model and the input points, checking that their widths agree."""
     model = load_model(args.model)
     data = load_csv(args.input)
+    if data.dim != model.obs_dim:
+        raise ValueError(
+            f"{args.input}: {data.dim} columns, but the model expects "
+            f"dims.n = {model.obs_dim}"
+        )
+    return model, data
+
+
+def _cmd_project(args: argparse.Namespace) -> int:
+    model, data = _model_and_points(args)
     projections = hmog_project_batch(model, data.points)
     header = [f"y_{j + 1}" for j in range(projections.shape[1])]
     _write_csv(args.out, header, (_float_cells(row) for row in projections))
@@ -132,8 +141,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    data = load_csv(args.input)
+    model, data = _model_and_points(args)
     posteriors = hmog_classify_batch(model, data.points)
     assignments = np.argmax(posteriors, axis=1) + 1
     header = ["cluster"] + [f"p_{z + 1}" for z in range(posteriors.shape[1])]

@@ -10,8 +10,14 @@ Everything reduces to two conjugation computations: the likelihood's
 Gaussian conjugation parameters turn the joint log-partition into a
 mixture log-partition, and the mixture's own conjugation parameters turn
 that into a categorical one. Densities, posteriors, the forward mapping,
-and the EM expectation step all follow from this double reduction; the
-maximization step is Adam on the natural parameters.
+and the EM expectation step all follow from this double reduction.
+
+The maximization step is exact and closed-form: log p(x, y, z) splits
+into log p(x | y) + log p(y, z) over disjoint parameter blocks, so the
+expected complete-data log-likelihood is maximized by the structured
+linear Gaussian regression for the conditional (factor analysis or PPCA)
+and the mixture maximizer for the feature prior, joined by
+`assemble_hmog`.
 """
 
 from __future__ import annotations
@@ -24,18 +30,20 @@ from numpy.typing import NDArray
 from .families import Categorical, MultivariateNormal, Structure
 from .linear_gaussian import (
     LinearGaussianModel,
+    lgm_backward,
     lgm_conjugation_parameters,
     lgm_forward,
 )
 from .mixture import (
     MixtureModel,
+    mixture_backward,
     mixture_conjugation_parameters,
     mixture_log_partition,
     mixture_posterior_stats,
     mog_sample,
     shifted_log_partition,
+    shifted_posteriors,
 )
-from .optim import AdamConfig, adam_optimize
 
 __all__ = [
     "Hmog",
@@ -115,16 +123,14 @@ class Hmog:
 class HmogEmDiagnostics:
     """Per-iteration EM bookkeeping.
 
-    ``m_step_discarded`` marks iterations whose Adam result was dropped
-    because it would have lowered the training log-likelihood; the model
-    is left unchanged for such an iteration.
+    ``m_step_discarded`` marks iterations whose exact maximizer was
+    dropped because float rounding made it score below the current model
+    on the training data; the model is left unchanged for such an
+    iteration.
     """
 
     log_likelihood_before: float
     log_likelihood_after: float
-    gradient_norm: float
-    adam_steps: int
-    rejected_steps: int
     m_step_discarded: bool = False
 
 
@@ -310,6 +316,9 @@ def pack_means(
 def valid_blocks(h: Hmog) -> list[str]:
     """Names of parameter blocks violating the model domain (empty if valid).
 
+    Deprecated: the exact M-step no longer needs a domain guard, and
+    nothing in the package calls this; it is kept for existing callers.
+
     The model is valid when the observable second-order block is negative
     (per structure) and every component's joint precision has a
     positive-definite feature-block Schur complement; the latter also
@@ -402,44 +411,43 @@ def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
     return pack_means(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)
 
 
-def hmog_em_iteration(
-    h: Hmog,
-    xs: NDArray,
-    adam_cfg: AdamConfig,
-    grad_norm_tol: float | None = 1e-8,
-) -> tuple[Hmog, HmogEmDiagnostics]:
-    """One EM iteration: closed-form E-step, Adam-driven M-step.
+def _split_means(h: Hmog, flat: NDArray) -> tuple[NDArray, ...]:
+    """Inverse of `pack_means` for the block shapes of ``h``."""
+    sizes = [h.obs.param_dim, h.lat.param_dim, len(h.cat_params), h.obs_interaction.size]
+    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = np.split(flat, np.cumsum(sizes))
+    return (
+        eta_obs,
+        eta_lat,
+        eta_cat,
+        cross_xy.reshape(h.obs_interaction.shape),
+        cross_yz.reshape(h.lat_interaction.shape),
+    )
 
-    The maximization objective gradient is ``tau(theta) - eta'`` with
-    ``eta'`` the frozen E-step target; iterates leaving the valid
-    parameter domain are rejected with per-block step halving. An Adam
-    result that would lower the training log-likelihood is discarded and
-    the model left unchanged for the iteration (flagged in diagnostics),
-    so trajectories are nondecreasing even when the optimizer overshoots
-    near a stationary point; improving steps are always kept.
+
+def hmog_em_iteration(h: Hmog, xs: NDArray) -> tuple[Hmog, HmogEmDiagnostics]:
+    """One EM iteration: closed-form E-step, exact closed-form M-step.
+
+    The complete-data log-likelihood splits into log p(x | y) and
+    log p(y, z), which share no parameters, so the maximizer is the
+    structured linear Gaussian backward mapping on the observation and
+    feature-observation blocks of the E-step target, assembled with the
+    mixture backward mapping on its feature and feature-cluster blocks.
+    The forward mapping of the result reproduces the target. A maximizer
+    that float rounding scores below the current model is discarded and
+    the model left unchanged (flagged in diagnostics), so trajectories
+    never decrease. A degenerate target (a collapsed component or a
+    non-positive noise variance) raises DomainError.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         raise ValueError("EM requires a nonempty dataset")
     ll_before = hmog_mean_log_likelihood(h, xs)
-    target = hmog_posterior_stats(h, xs)
-
-    def grad_fn(flat: NDArray) -> NDArray:
-        model = unpack_params(h, flat)
-        return pack_means(*hmog_forward(model)) - target
-
-    def guard(flat: NDArray) -> list[str]:
-        return valid_blocks(unpack_params(h, flat))
-
-    theta_star, diag = adam_optimize(
-        grad_fn,
-        pack_params(h),
-        adam_cfg,
-        domain_guard=guard,
-        blocks=block_slices(h),
-        grad_norm_tol=grad_norm_tol,
+    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = _split_means(
+        h, hmog_posterior_stats(h, xs)
     )
-    updated = unpack_params(h, theta_star)
+    lgm = lgm_backward(h.obs, h.lat, eta_obs, eta_lat, cross_xy)
+    mog = mixture_backward(h.lat, eta_lat, eta_cat, cross_yz)
+    updated = assemble_hmog(lgm, mog)
     ll_after = hmog_mean_log_likelihood(updated, xs)
     discarded = ll_after < ll_before
     if discarded:
@@ -448,9 +456,6 @@ def hmog_em_iteration(
     return updated, HmogEmDiagnostics(
         log_likelihood_before=ll_before,
         log_likelihood_after=ll_after,
-        gradient_norm=diag["grad_norm"],
-        adam_steps=diag["steps"],
-        rejected_steps=diag["rejections"],
         m_step_discarded=discarded,
     )
 
@@ -475,9 +480,7 @@ def hmog_project(h: Hmog, x: NDArray) -> NDArray:
 def hmog_classify_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Cluster posteriors p(z | x), features marginalized out; rows sum to 1."""
     xs = np.asarray(xs, dtype=float)
-    shifts = xs @ h.obs_interaction
-    post = mixture_posterior_stats(_posterior_mixture(h), shifts)
-    return post.probabilities
+    return shifted_posteriors(_posterior_mixture(h), xs @ h.obs_interaction)
 
 
 def hmog_classify(h: Hmog, x: NDArray) -> NDArray:

@@ -28,6 +28,7 @@ __all__ = [
     "lgm_conjugation_parameters",
     "lgm_log_partition",
     "lgm_forward",
+    "lgm_backward",
     "lgm_em_step",
     "lgm_project",
     "lgm_project_batch",
@@ -169,7 +170,7 @@ def lgm_forward(
     return eta_x, eta_y, cross
 
 
-def _restricted_backward(
+def lgm_backward(
     obs: MultivariateNormal,
     lat: MultivariateNormal,
     eta_x: NDArray,
@@ -250,7 +251,7 @@ def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianMode
 
     def joint_backward(eta_x: NDArray, eta_y: NDArray, cross: NDArray):
         block = cross[: model.obs.dim, : lat.dim]
-        return _restricted_backward(model.obs, lat, eta_x, eta_y, block)
+        return lgm_backward(model.obs, lat, eta_x, eta_y, block)
 
     return em_iteration(as_harmonium(model), data, latent_forward, joint_backward)
 

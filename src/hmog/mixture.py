@@ -27,6 +27,7 @@ __all__ = [
     "mixture_log_partition",
     "mixture_weights",
     "shifted_log_partition",
+    "shifted_posteriors",
     "mixture_posterior_stats",
     "mog_observable_log_density",
     "mog_log_densities",
@@ -246,6 +247,12 @@ def shifted_log_partition(model: MixtureModel, shifts: NDArray) -> NDArray:
     return logsumexp(_component_logits(model, shifts), axis=1)
 
 
+def shifted_posteriors(model: MixtureModel, shifts: NDArray) -> NDArray:
+    """Index posteriors (N, k) under per-sample first-order base shifts."""
+    logits = _component_logits(model, shifts)
+    return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+
+
 def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePosterior:
     """Per-sample forward mapping under first-order base shifts.
 
@@ -258,8 +265,7 @@ def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePost
     k = model.num_components
     m = model.dim
 
-    logits = _component_logits(model, shifts)
-    probs = np.exp(logits - logsumexp(logits, axis=1)[:, None])
+    probs = shifted_posteriors(model, shifts)
 
     mean_stats = np.zeros((count, model.lat.param_dim))
     cross = np.zeros((count, model.lat.param_dim, k - 1))

@@ -1,4 +1,9 @@
-"""Adam optimizer for the gradient-based maximization step.
+"""Adam optimizer, formerly used for the unified maximization step.
+
+Deprecated: the unified maximization step is now exact and closed-form
+(see `hmog.hierarchical.hmog_em_iteration`), so nothing in the package
+calls this module. It stays importable for existing callers and will be
+removed.
 
 Operates on flat parameter vectors; the model module owns the packing.
 Descent on the supplied gradient (callers hand in ``tau(theta) - eta``, so
@@ -36,7 +41,7 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AdamConfig:
-    """Adam learning parameters."""
+    """Adam learning parameters (deprecated; ignored by `FitConfig`)."""
 
     learning_rate: float = 1e-4
     epsilon: float = 1e-8

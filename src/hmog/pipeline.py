@@ -3,9 +3,9 @@
 Four training methods share one yardstick. Two-stage methods fit a linear
 Gaussian model, project, and fit a feature mixture; unified methods take
 the assembled hierarchical model and continue with EM whose maximization
-step runs Adam. Every reported log-likelihood is the observable density of
-the assembled hierarchical model, so trajectories and cross-validation
-scores are directly comparable across methods.
+step is the exact closed form. Every reported log-likelihood is the
+observable density of the assembled hierarchical model, so trajectories
+and cross-validation scores are directly comparable across methods.
 
 All randomness flows through explicitly seeded generators; identical
 inputs produce identical reports and identical serialized artifacts.
@@ -47,7 +47,7 @@ from .mixture import (
     mog_from_standard,
     mog_posteriors,
 )
-from .optim import AdamConfig, OptimizationError
+from .optim import AdamConfig
 
 __all__ = [
     "Dataset",
@@ -83,6 +83,11 @@ METHODS = ("two_stage_pca", "two_stage_fa", "hmog_pca", "hmog_fa")
 # low-density region; the additive rescue only activates on factorization
 # failure, so clean runs are bit-identical with or without it.
 STAGE2_JITTER = 1e-6
+
+
+def _structure(method: str) -> Structure:
+    """Observable noise structure of a method: shared (PCA) or per-coordinate (FA)."""
+    return Structure.ISOTROPIC if method.endswith("pca") else Structure.DIAGONAL
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,11 @@ def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Training configuration shared by all four methods."""
+    """Training configuration shared by all four methods.
+
+    ``adam`` is deprecated and ignored: the unified maximization step is
+    exact and has no learning rate or step budget.
+    """
 
     method: str
     latent_dim: int
@@ -326,7 +335,7 @@ class FitConfig:
 
     @property
     def structure(self) -> Structure:
-        return Structure.ISOTROPIC if self.method.endswith("pca") else Structure.DIAGONAL
+        return _structure(self.method)
 
     @property
     def unified(self) -> bool:
@@ -477,9 +486,8 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
 
     Each restart initializes by a full two-stage fit on its own seed,
     assembles the hierarchical model, and runs ``cfg.hmog_iters`` EM
-    iterations with the Adam-driven maximization step; the final train
-    log-likelihood never falls below the two-stage value beyond the
-    approximate-maximization tolerance.
+    iterations with the exact closed-form maximization step; the final
+    train log-likelihood never falls below the two-stage value.
     """
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     start = time.perf_counter()
@@ -491,9 +499,9 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
             model = assemble_hmog(lgm, mog)
             unified = []
             for _ in range(cfg.hmog_iters):
-                model, diag = hmog_em_iteration(model, points, cfg.adam)
+                model, diag = hmog_em_iteration(model, points)
                 unified.append(diag.log_likelihood_after)
-        except (DomainError, OptimizationError) as exc:
+        except DomainError as exc:
             failure = exc
             continue
         final = unified[-1] if unified else stage2[-1]
@@ -654,29 +662,48 @@ def model_to_dict(model: Hmog, method: str, seed: int) -> dict:
     }
 
 
+def _block(params: dict, name: str, shape: tuple[int, ...]) -> NDArray:
+    """One parameter block of a model payload, checked against its shape."""
+    if name not in params:
+        raise ValueError(f"params.{name}: missing")
+    try:
+        value = np.asarray(params[name], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"params.{name}: not a numeric array ({exc})") from None
+    if value.shape != shape:
+        raise ValueError(f"params.{name}: shape {value.shape}, expected {shape}")
+    return value
+
+
 def model_from_dict(payload: dict) -> Hmog:
-    """Rebuild a hierarchical model from the interchange schema."""
-    method = payload["method"]
-    dims = payload["dims"]
-    params = payload["params"]
-    structure = Structure.ISOTROPIC if "pca" in method else Structure.DIAGONAL
-    obs = MultivariateNormal(int(dims["n"]), structure)
-    lat = MultivariateNormal(int(dims["m"]), Structure.FULL)
+    """Rebuild a hierarchical model from the interchange schema.
+
+    The method must be one of `METHODS` and every parameter block must
+    have the length its structure and ``dims`` imply; a violation raises
+    ValueError naming the offending field.
+    """
+    method = payload.get("method")
+    if method not in METHODS:
+        raise ValueError(f"method: unknown {method!r}; choose from {METHODS}")
+    dims = payload.get("dims", {})
+    for key in ("n", "m", "k"):
+        if not isinstance(dims.get(key), int) or dims[key] < 1:
+            raise ValueError(f"dims.{key}: expected a positive integer, got {dims.get(key)!r}")
+    n, m, k = dims["n"], dims["m"], dims["k"]
+    params = payload.get("params", {})
+    obs = MultivariateNormal(n, _structure(method))
+    lat = MultivariateNormal(m, Structure.FULL)
     return Hmog(
         obs=obs,
         lat=lat,
         obs_params=np.concatenate(
-            [np.asarray(params["theta_x_mu"], dtype=float),
-             np.asarray(params["theta_xx"], dtype=float)]
+            [_block(params, "theta_x_mu", (n,)),
+             _block(params, "theta_xx", (obs.param_dim - n,))]
         ),
-        lat_params=np.asarray(params["theta_y"], dtype=float),
-        cat_params=np.asarray(params["theta_z"], dtype=float),
-        obs_interaction=np.asarray(params["theta_xy"], dtype=float).reshape(
-            int(dims["n"]), int(dims["m"])
-        ),
-        lat_interaction=np.asarray(params["theta_yz"], dtype=float).reshape(
-            lat.param_dim, int(dims["k"]) - 1
-        ),
+        lat_params=_block(params, "theta_y", (lat.param_dim,)),
+        cat_params=_block(params, "theta_z", (k - 1,)),
+        obs_interaction=_block(params, "theta_xy", (n, m)),
+        lat_interaction=_block(params, "theta_yz", (lat.param_dim, k - 1)),
     )
 
 

@@ -26,9 +26,8 @@ def fitted_model(tmp_path_factory, synth_csv):
     code = main([
         "fit", "--input", str(synth_csv), "--label-col", "cluster",
         "--method", "hmog-fa", "--latent-dim", "1", "--clusters", "2",
-        "--stage-iters", "15", "--hmog-iters", "3", "--adam-lr", "1e-3",
-        "--adam-steps", "20", "--restarts", "1", "--seed", "0",
-        "--out", str(path),
+        "--stage-iters", "15", "--hmog-iters", "3", "--restarts", "1",
+        "--seed", "0", "--out", str(path),
     ])
     assert code == 0
     return path
@@ -78,6 +77,7 @@ class TestFit:
         assert model.obs.dim == 2 and model.lat.dim == 1 and model.num_clusters == 2
 
     def test_bit_stable_across_runs(self, synth_csv, fitted_model, tmp_path):
+        """Also checks that the deprecated --adam-* flags are accepted and ignored."""
         again = tmp_path / "model2.json"
         main([
             "fit", "--input", str(synth_csv), "--label-col", "cluster",
@@ -107,6 +107,15 @@ class TestProjectClassify:
         lines = out.read_text().splitlines()
         assert lines[0] == "y_1"
         assert len(lines) == 301
+
+    @pytest.mark.parametrize("command", ["project", "classify"])
+    def test_input_width_checked(self, synth_csv, fitted_model, tmp_path, command):
+        # the labelled synth file has three columns; the model expects two
+        with pytest.raises(ValueError, match="3 columns.*dims.n = 2"):
+            main([
+                command, "--model", str(fitted_model),
+                "--input", str(synth_csv), "--out", str(tmp_path / "out.csv"),
+            ])
 
     def test_classify_output(self, synth_csv, fitted_model, tmp_path):
         data = load_csv(synth_csv, label_column="cluster")

@@ -11,7 +11,6 @@ from hmog import hierarchical as hh
 from hmog import linear_gaussian as lg
 from hmog import mixture as mx
 from hmog.families import Structure
-from hmog.optim import AdamConfig
 
 
 def random_hmog(rng, n=3, m=2, k=3, structure=Structure.DIAGONAL, spread=1.5):
@@ -235,32 +234,27 @@ class TestGradientIdentity:
             ) / (2 * step)
         np.testing.assert_allclose(numeric, analytic, rtol=1e-4, atol=1e-7)
 
-    def test_zero_gradient_fixed_point(self):
-        """If the forward mapping equals the target, Adam leaves theta alone."""
-        rng = np.random.default_rng(11)
-        model, _, _ = random_hmog(rng, n=2, m=1, k=2)
-        xs, _, _ = hh.hmog_sample(model, 50, rng)
-        target = hh.pack_means(*hh.hmog_forward(model))  # pretend tau == eta'
-        from hmog.optim import adam_optimize
-
-        theta0 = hh.pack_params(model)
-        theta, _ = adam_optimize(
-            lambda t: hh.pack_means(*hh.hmog_forward(hh.unpack_params(model, t)))
-            - target,
-            theta0,
-            AdamConfig(steps=5),
-        )
-        np.testing.assert_allclose(theta, theta0, atol=1e-12)
-
 
 class TestEmIteration:
+    @pytest.mark.parametrize("structure", [Structure.DIAGONAL, Structure.ISOTROPIC])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_exact_step_fixed_point(self, structure, k):
+        """The M-step is exact: the update's forward mapping is the E-step target."""
+        rng = np.random.default_rng(11)
+        truth, _, _ = random_hmog(rng, k=k, structure=structure)
+        xs, _, _ = hh.hmog_sample(truth, 400, rng)
+        model, _, _ = random_hmog(np.random.default_rng(98), k=k, structure=structure)
+        target = hh.hmog_posterior_stats(model, xs)
+        updated, diag = hh.hmog_em_iteration(model, xs)
+        assert not diag.m_step_discarded
+        gap = np.max(np.abs(hh.pack_means(*hh.hmog_forward(updated)) - target))
+        assert gap <= 1e-10
+
     def test_self_consistency_near_mle(self):
         rng = np.random.default_rng(12)
         model, _, _ = random_hmog(rng, n=2, m=1, k=2, spread=2.5)
         xs, _, _ = hh.hmog_sample(model, 20_000, rng)
-        updated, diag = hh.hmog_em_iteration(
-            model, xs, AdamConfig(learning_rate=1e-3, steps=100)
-        )
+        updated, diag = hh.hmog_em_iteration(model, xs)
         assert diag.log_likelihood_after >= diag.log_likelihood_before - 1e-6
         drift = np.max(np.abs(hh.pack_params(updated) - hh.pack_params(model)))
         assert drift < 0.2
@@ -270,11 +264,10 @@ class TestEmIteration:
         truth, _, _ = random_hmog(rng, n=2, m=1, k=2, spread=2.5)
         xs, _, _ = hh.hmog_sample(truth, 500, rng)
         model, _, _ = random_hmog(np.random.default_rng(99), n=2, m=1, k=2)
-        cfg = AdamConfig(learning_rate=3e-3, steps=100)
         previous = hh.hmog_mean_log_likelihood(model, xs)
         for _ in range(25):
-            model, diag = hh.hmog_em_iteration(model, xs, cfg)
-            assert diag.log_likelihood_after >= previous - 1e-6
+            model, diag = hh.hmog_em_iteration(model, xs)
+            assert diag.log_likelihood_after >= previous - 1e-9
             previous = diag.log_likelihood_after
 
 

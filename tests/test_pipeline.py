@@ -40,7 +40,7 @@ DATA_DIR = Path(__file__).parent / "data"
 def small_cfg(method, **overrides):
     defaults = dict(
         method=method, latent_dim=1, clusters=2, stage1_iters=40, stage2_iters=30,
-        hmog_iters=5, adam=AdamConfig(learning_rate=3e-3, steps=30), restarts=1, seed=0,
+        hmog_iters=5, restarts=1, seed=0,
     )
     defaults.update(overrides)
     return FitConfig(**defaults)
@@ -268,6 +268,14 @@ class TestFitHmog:
         assert len(unified) == 10
         assert np.min(np.diff(unified)) > -1e-6
 
+    def test_deprecated_adam_config_ignored(self, synthetic_data):
+        _, data = synthetic_data
+        _, plain = fit_hmog(data, small_cfg("hmog_fa"))
+        _, legacy = fit_hmog(
+            data, small_cfg("hmog_fa", adam=AdamConfig(learning_rate=1e-2, steps=3))
+        )
+        assert report_to_dict(legacy) == report_to_dict(plain)
+
 
 class TestCrossValidate:
     def test_folds_partition_data(self, synthetic_data):
@@ -366,6 +374,20 @@ class TestSerialization:
         assert payload["meta"]["seed"] == 3
         rebuilt = model_from_dict(payload)
         np.testing.assert_array_equal(rebuilt.obs_params, truth.obs_params)
+
+    def test_unknown_method_rejected(self, synthetic_data):
+        truth, _ = synthetic_data
+        payload = model_to_dict(truth, "hmog_fa", seed=3)
+        payload["method"] = "bogus"
+        with pytest.raises(ValueError, match="method"):
+            model_from_dict(payload)
+
+    def test_block_length_checked(self, synthetic_data):
+        truth, _ = synthetic_data
+        payload = model_to_dict(truth, "hmog_fa", seed=3)
+        payload["params"]["theta_xx"].append(-0.5)
+        with pytest.raises(ValueError, match="theta_xx"):
+            model_from_dict(payload)
 
     def test_json_write_read_write_identical(self, tmp_path, synthetic_data):
         _, data = synthetic_data
