@@ -36,6 +36,7 @@ __all__ = [
     "DomainError",
     "Categorical",
     "MultivariateNormal",
+    "normalize_logits",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -70,6 +71,21 @@ def _chol_lower(matrix: NDArray, context: str) -> NDArray:
         return cholesky(matrix, lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise DomainError(f"{context}: matrix is not positive-definite") from exc
+
+
+def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
+    """Row-wise log-sum-exp and softmax of finite logits (N, k).
+
+    The row maximum is factored out before exponentiating, so no entry
+    overflows and the largest is exactly ``exp(0)``. The work runs on the
+    (k, N) transpose, where reductions over the short category axis are
+    elementwise across long rows.
+    """
+    cols = np.ascontiguousarray(np.transpose(logits))
+    top = np.max(cols, axis=0)
+    expd = np.exp(cols - top)
+    total = np.sum(expd, axis=0)
+    return top + np.log(total), np.transpose(expd / total)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +144,13 @@ class Categorical:
             return 0.0
         return float(logsumexp(np.concatenate([[0.0], theta])))
 
-    def log_partition_batch(self, thetas: NDArray) -> NDArray:
+    def _padded(self, thetas: NDArray) -> NDArray:
+        """Logits of all categories: the reference category's is zero."""
         thetas = np.asarray(thetas, dtype=float)
-        padded = np.concatenate([np.zeros((thetas.shape[0], 1)), thetas], axis=1)
-        return logsumexp(padded, axis=1)
+        return np.concatenate([np.zeros((thetas.shape[0], 1)), thetas], axis=1)
+
+    def log_partition_batch(self, thetas: NDArray) -> NDArray:
+        return normalize_logits(self._padded(thetas))[0]
 
     def to_mean(self, theta: NDArray) -> NDArray:
         """Forward mapping: eta_i = exp(theta_i) / (1 + sum_j exp(theta_j))."""
@@ -139,8 +158,11 @@ class Categorical:
         return np.exp(np.asarray(theta, dtype=float) - psi)
 
     def to_mean_batch(self, thetas: NDArray) -> NDArray:
-        psi = self.log_partition_batch(thetas)
-        return np.exp(thetas - psi[:, None])
+        return normalize_logits(self._padded(thetas))[1][:, 1:]
+
+    def probabilities_batch(self, thetas: NDArray) -> NDArray:
+        """Full probability rows (N, num_categories)."""
+        return normalize_logits(self._padded(thetas))[1]
 
     def to_natural(self, eta: NDArray) -> NDArray:
         """Backward mapping: theta_i = log(eta_i / (1 - sum_j eta_j))."""
@@ -299,15 +321,19 @@ class MultivariateNormal:
 
     # -- sufficient statistics ----------------------------------------------
 
+    def _points(self, xs: NDArray) -> NDArray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected points of dimension {self.dim}, got {xs.shape}")
+        return xs
+
     def sufficient_statistic(self, x: NDArray) -> NDArray:
         """Flat minimal sufficient statistic ``(x, packed(x (x) x))``."""
         return self.sufficient_statistics(np.asarray(x, dtype=float)[None, :])[0]
 
     def sufficient_statistics(self, xs: NDArray) -> NDArray:
         """Batched sufficient statistics, shape ``(len(xs), param_dim)``."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}, got {xs.shape}")
+        xs = self._points(xs)
         if self.structure is Structure.FULL:
             rows, cols = _tril_rows_cols(self.dim)
             second = xs[:, rows] * xs[:, cols]
@@ -316,6 +342,31 @@ class MultivariateNormal:
         else:
             second = np.sum(xs**2, axis=1, keepdims=True)
         return np.concatenate([xs, second], axis=1)
+
+    def dot_statistics(self, theta: NDArray, xs: NDArray) -> NDArray:
+        """Rows of ``sufficient_statistics(xs) @ theta`` without forming them."""
+        xs = self._points(xs)
+        n = self.dim
+        theta = np.asarray(theta, dtype=float)
+        linear = xs @ theta[:n]
+        if self.structure is Structure.FULL:
+            _, second = self.split_natural(theta)
+            return linear + np.einsum("ni,ij,nj->n", xs, second, xs)
+        if self.structure is Structure.DIAGONAL:
+            return linear + (xs * xs) @ theta[n:]
+        return linear + theta[n] * np.einsum("ni,ni->n", xs, xs)
+
+    def mean_statistics(self, xs: NDArray) -> NDArray:
+        """Average sufficient statistic over the rows of ``xs``."""
+        xs = self._points(xs)
+        count = len(xs)
+        mean = xs.mean(axis=0)
+        if self.structure is Structure.FULL:
+            return self.join_mean(mean, xs.T @ xs / count)
+        squares = np.einsum("ni,ni->i", xs, xs) / count
+        if self.structure is Structure.DIAGONAL:
+            return self.join_mean(mean, squares)
+        return self.join_mean(mean, float(np.sum(squares)))
 
     def log_base_measure(self, x: NDArray) -> float:
         return -0.5 * self.dim * LOG_2PI
@@ -414,22 +465,6 @@ class MultivariateNormal:
         if self.structure is not Structure.FULL:
             cov = np.diag(cov)
         return means, cov
-
-    def mean_flats(self, means: NDArray, cov: NDArray) -> NDArray:
-        """Flat mean vectors for a batch of means sharing one covariance.
-
-        Row ``i`` is the flat mean parameterization of a normal with mean
-        ``means[i]`` and the shared dense covariance ``cov``.
-        """
-        means = np.asarray(means, dtype=float)
-        if self.structure is Structure.FULL:
-            rows, cols = _tril_rows_cols(self.dim)
-            second = means[:, rows] * means[:, cols] + cov[rows, cols]
-        elif self.structure is Structure.DIAGONAL:
-            second = means**2 + np.diag(cov)
-        else:
-            second = np.sum(means**2, axis=1, keepdims=True) + np.trace(cov)
-        return np.concatenate([means, second], axis=1)
 
     def to_natural(self, eta: NDArray) -> NDArray:
         """Backward mapping from flat mean coordinates."""

@@ -29,7 +29,6 @@ __all__ = [
     "Harmonium",
     "ConjugationParams",
     "posterior_natural_params",
-    "likelihood_natural_params",
     "check_conjugation",
     "conjugated_log_partition",
     "observable_log_density",
@@ -80,12 +79,6 @@ def posterior_natural_params(h: Harmonium, x) -> NDArray:
     """Latent natural parameters of p(y | x): theta_Y + s_X(x) . Theta_XY."""
     stat = h.obs.sufficient_statistic(x)
     return h.lat_params + h.interaction.T @ stat
-
-
-def likelihood_natural_params(h: Harmonium, y) -> NDArray:
-    """Observable natural parameters of p(x | y): theta_X + Theta_XY . s_Y(y)."""
-    stat = h.lat.sufficient_statistic(y)
-    return h.obs_params + h.interaction @ stat
 
 
 def check_conjugation(h: Harmonium, c: ConjugationParams, probes) -> float:

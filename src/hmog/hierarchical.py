@@ -12,22 +12,36 @@ mixture log-partition, and the mixture's own conjugation parameters turn
 that into a categorical one. Densities, posteriors, the forward mapping,
 and the EM expectation step all follow from this double reduction.
 
+Each model is prepared once, on first use (`Hmog.prepared`): the feature
+prior and the feature posterior mixtures with their stacked component
+factors, and the joint log-partition. Every per-point computation is then
+one pass of the shifted posterior mixture kernel
+(`mixture.mixture_posterior_stats` and its two lighter wrappers) at the
+shifts ``x @ W``: log-densities, cluster posteriors, projections, and the
+fused log-likelihood plus E-step target (`hmog_posterior_pass`). Mean
+log-likelihoods take the observable term from the mean statistic, so the
+fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
+Model blocks must not be mutated in place once the prepared state exists.
+
 The maximization step is exact and closed-form: log p(x, y, z) splits
 into log p(x | y) + log p(y, z) over disjoint parameter blocks, so the
 expected complete-data log-likelihood is maximized by the structured
 linear Gaussian regression for the conditional (factor analysis or PPCA)
 and the mixture maximizer for the feature prior, joined by
-`assemble_hmog`.
+`assemble_hmog`. One EM iteration makes one fused pass over the data: the
+pass of the returned model is handed back in the diagnostics, and the
+next iteration takes it as its E-step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import Categorical, MultivariateNormal, Structure
+from .families import Categorical, DomainError, MultivariateNormal, Structure
 from .linear_gaussian import (
     LinearGaussianModel,
     lgm_backward,
@@ -47,13 +61,18 @@ from .mixture import (
 
 __all__ = [
     "Hmog",
+    "PreparedHmog",
+    "PosteriorPass",
     "HmogEmDiagnostics",
     "hmog_log_partition",
     "hmog_joint_log_density",
     "hmog_observable_log_density",
     "hmog_log_densities",
+    "hmog_observation_terms",
+    "hmog_mean_log_likelihood_from_terms",
     "hmog_mean_log_likelihood",
     "hmog_forward",
+    "hmog_posterior_pass",
     "hmog_posterior_stats",
     "hmog_em_iteration",
     "hmog_project",
@@ -80,6 +99,10 @@ class Hmog:
     offsets of the feature mixture in feature sufficient-statistic space.
     The observable structure is isotropic (PCA-style) or diagonal
     (factor-analysis-style).
+
+    The blocks must not be mutated in place: `prepared` caches state
+    derived from them. `dataclasses.replace` gives a fresh instance with
+    its own prepared state.
     """
 
     obs: MultivariateNormal
@@ -118,6 +141,40 @@ class Hmog:
     def cat(self) -> Categorical:
         return Categorical(self.num_clusters)
 
+    @functools.cached_property
+    def prepared(self) -> "PreparedHmog":
+        """Conjugation state shared by every computation, built on first use."""
+        return _prepare(self)
+
+
+@dataclass(frozen=True)
+class PreparedHmog:
+    """What double conjugation derives from a model, computed once.
+
+    ``prior`` is the feature prior p(y, z); ``posterior`` the mixture
+    whose base, shifted in its first-order block by ``x @ W``, gives the
+    feature posterior p(y, z | x); both carry their stacked component
+    factors (`MixtureModel.prepared`). ``log_partition`` is the joint
+    log-partition ``psi_Z(theta_Z + rho*) + rho1* + rho0``.
+    """
+
+    prior: MixtureModel
+    posterior: MixtureModel
+    log_partition: float
+
+
+@dataclass(frozen=True)
+class PosteriorPass:
+    """The fused pass of one model over one dataset.
+
+    ``mean_log_likelihood`` is the mean observable log-density and
+    ``target`` the E-step target in the `pack_means` layout; one kernel
+    pass yields both.
+    """
+
+    mean_log_likelihood: float
+    target: NDArray
+
 
 @dataclass(frozen=True)
 class HmogEmDiagnostics:
@@ -126,12 +183,14 @@ class HmogEmDiagnostics:
     ``m_step_discarded`` marks iterations whose exact maximizer was
     dropped because float rounding made it score below the current model
     on the training data; the model is left unchanged for such an
-    iteration.
+    iteration. ``posterior_pass`` is the fused pass of the returned model
+    on the training data, ready to be the next iteration's E-step.
     """
 
     log_likelihood_before: float
     log_likelihood_after: float
     m_step_discarded: bool = False
+    posterior_pass: PosteriorPass | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +212,64 @@ def _likelihood_lgm(h: Hmog, component: int | None = None) -> LinearGaussianMode
     )
 
 
-def _posterior_mixture(h: Hmog) -> MixtureModel:
-    """Mixture whose first-order shifts give the feature posterior p(y, z | x)."""
-    return MixtureModel(
-        lat=h.lat,
-        base_params=h.lat_params,
-        cat_params=h.cat_params,
-        interaction=h.lat_interaction,
-    )
+def _check_finite(h: Hmog) -> None:
+    """Raise DomainError naming every parameter block with a non-finite entry."""
+    n = h.obs.dim
+    blocks = {
+        "theta_x_mu": h.obs_params[:n],
+        "theta_xx": h.obs_params[n:],
+        "theta_y": h.lat_params,
+        "theta_z": h.cat_params,
+        "theta_xy": h.obs_interaction,
+        "theta_yz": h.lat_interaction,
+    }
+    bad = [name for name, block in blocks.items() if not np.all(np.isfinite(block))]
+    if bad:
+        raise DomainError(f"non-finite parameters in {', '.join(bad)}")
 
 
-def _prior_mixture(h: Hmog) -> MixtureModel:
-    """The feature prior p(y, z): base shifted by the Gaussian conjugation."""
-    conj = lgm_conjugation_parameters(_likelihood_lgm(h))
-    return MixtureModel(
-        lat=h.lat,
-        base_params=h.lat_params + conj.rho,
-        cat_params=h.cat_params,
-        interaction=h.lat_interaction,
-    )
+def _prepare(h: Hmog) -> PreparedHmog:
+    """Double conjugation, with every component factored once.
 
-
-def hmog_log_partition(h: Hmog) -> float:
-    """Joint log-partition via double conjugation.
-
-    The Gaussian conjugation shifts the feature block, after which the
-    mixture conjugation reduces everything to a categorical log-partition:
-    ``psi_Z(theta_Z + rho*) + rho1* + rho0``.
+    Raises DomainError naming a non-finite block, a non-negative
+    observable second-order block, or a feature-prior component whose
+    precision (the joint feature-block Schur complement) is not
+    positive-definite; posterior precisions add a positive semi-definite
+    term to those, so they are then valid as well.
     """
-    conj = lgm_conjugation_parameters(_likelihood_lgm(h))
+    _check_finite(h)
+    try:
+        conj = lgm_conjugation_parameters(_likelihood_lgm(h))
+    except DomainError as exc:
+        raise DomainError(f"theta_xx: {exc}") from None
     prior = MixtureModel(
         lat=h.lat,
         base_params=h.lat_params + conj.rho,
         cat_params=h.cat_params,
         interaction=h.lat_interaction,
     )
-    return mixture_log_partition(prior) + conj.rho0
+    try:
+        log_partition = mixture_log_partition(prior) + conj.rho0
+    except DomainError as exc:
+        raise DomainError(f"feature prior {exc}") from None
+    posterior = MixtureModel(
+        lat=h.lat,
+        base_params=h.lat_params,
+        cat_params=h.cat_params,
+        interaction=h.lat_interaction,
+    )
+    posterior.prepared  # factor now, so failures surface here
+    return PreparedHmog(prior=prior, posterior=posterior, log_partition=log_partition)
+
+
+def hmog_log_partition(h: Hmog) -> float:
+    """Joint log-partition via double conjugation (read from `Hmog.prepared`).
+
+    The Gaussian conjugation shifts the feature block, after which the
+    mixture conjugation reduces everything to a categorical log-partition:
+    ``psi_Z(theta_Z + rho*) + rho1* + rho0``.
+    """
+    return h.prepared.log_partition
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +299,49 @@ def hmog_joint_log_density(h: Hmog, x: NDArray, y: NDArray, z: int) -> float:
 def hmog_log_densities(h: Hmog, xs: NDArray) -> NDArray:
     """Observable log-density at a batch of points.
 
-    Stage one shifts the feature-mixture base by each observation and
-    evaluates the shifted mixture log-partition; stage two subtracts the
-    (constant) joint log-partition obtained by double conjugation.
+    Stage one shifts the feature-posterior mixture by each observation and
+    evaluates its log-partition; stage two subtracts the (constant) joint
+    log-partition obtained by double conjugation.
     """
     xs = np.asarray(xs, dtype=float)
-    stats = h.obs.sufficient_statistics(xs)
-    shifts = xs @ h.obs_interaction
-    posterior_psi = shifted_log_partition(_posterior_mixture(h), shifts)
-    return (
-        stats @ h.obs_params
-        + posterior_psi
-        - hmog_log_partition(h)
-        + h.obs.log_base_measure(xs)
-    )
+    observed = h.obs.dot_statistics(h.obs_params, xs) + h.obs.log_base_measure(xs)
+    posterior_psi = shifted_log_partition(h.prepared.posterior, xs @ h.obs_interaction)
+    return observed + posterior_psi - h.prepared.log_partition
 
 
 def hmog_observable_log_density(h: Hmog, x: NDArray) -> float:
     return float(hmog_log_densities(h, np.asarray(x, dtype=float)[None, :])[0])
 
 
+def hmog_observation_terms(h: Hmog, xs: NDArray) -> tuple[NDArray, NDArray]:
+    """What the mean log-likelihood needs from the data under p(x | y).
+
+    Returns the first-order feature shifts ``x @ W`` per point and the
+    mean observable statistic. Both depend only on the conditional, so
+    they stay fixed while only the feature prior changes, as in stage 2 of
+    two-stage training.
+    """
+    xs = np.asarray(xs, dtype=float)
+    return xs @ h.obs_interaction, h.obs.mean_statistics(xs)
+
+
+def _mean_log_likelihood(h: Hmog, eta_obs: NDArray, posterior_psi: NDArray) -> float:
+    # The observable exponent is linear in s_X(x), so its data mean is the
+    # mean statistic's exponent; the Gaussian base measure is constant.
+    observed = eta_obs @ h.obs_params + h.obs.log_base_measure(eta_obs)
+    return float(observed + np.mean(posterior_psi) - h.prepared.log_partition)
+
+
+def hmog_mean_log_likelihood_from_terms(
+    h: Hmog, shifts: NDArray, eta_obs: NDArray
+) -> float:
+    """Mean log-likelihood from `hmog_observation_terms` of the same conditional."""
+    posterior_psi = shifted_log_partition(h.prepared.posterior, shifts)
+    return _mean_log_likelihood(h, eta_obs, posterior_psi)
+
+
 def hmog_mean_log_likelihood(h: Hmog, xs: NDArray) -> float:
-    return float(np.mean(hmog_log_densities(h, xs)))
+    return hmog_mean_log_likelihood_from_terms(h, *hmog_observation_terms(h, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +474,7 @@ def hmog_forward(
 
     Returns ``(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)``.
     """
-    prior = _prior_mixture(h)
+    prior = h.prepared.prior
     conj = mixture_conjugation_parameters(prior)
     w = h.cat.probabilities(h.cat_params + conj.rho)
 
@@ -390,25 +492,37 @@ def hmog_forward(
     return eta_obs, eta_lat, w[1:], cross_xy, cross_yz
 
 
-def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
-    """Expectation-step target: data-averaged joint sufficient statistics.
+def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
+    """Mean log-likelihood and E-step target from one kernel pass.
 
-    Per sample, the feature-cluster posterior is the base mixture shifted
-    by the observation; its forward mapping supplies the latent
-    expectations, and outer products with the observation fill the
-    interaction blocks. Returned flat in the `pack_means` layout.
+    Per sample, the feature-cluster posterior is the posterior mixture
+    shifted by the observation. The kernel returns its log-partition (for
+    the log-likelihood), the posterior feature means (whose outer products
+    with the observations fill the feature-observation block), and the
+    data-summed feature statistics per component (the feature and
+    feature-cluster blocks).
     """
     xs = np.asarray(xs, dtype=float)
     count = len(xs)
-    stats = h.obs.sufficient_statistics(xs)
-    shifts = xs @ h.obs_interaction
-    post = mixture_posterior_stats(_posterior_mixture(h), shifts)
-    eta_obs = stats.mean(axis=0)
-    eta_lat = post.mean_stats.mean(axis=0)
-    eta_cat = post.probabilities[:, 1:].mean(axis=0)
-    cross_xy = xs.T @ post.feature_means / count
-    cross_yz = post.cross_stats.mean(axis=0)
-    return pack_means(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)
+    shifts, eta_obs = hmog_observation_terms(h, xs)
+    post = mixture_posterior_stats(h.prepared.posterior, shifts)
+    stats = post.component_stats / count
+    target = pack_means(
+        eta_obs,
+        stats.sum(axis=0),
+        post.weights[1:] / count,
+        xs.T @ post.feature_means / count,
+        stats[1:].T,
+    )
+    return PosteriorPass(_mean_log_likelihood(h, eta_obs, post.log_partition), target)
+
+
+def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
+    """Expectation-step target: data-averaged joint sufficient statistics.
+
+    Returned flat in the `pack_means` layout.
+    """
+    return hmog_posterior_pass(h, xs).target
 
 
 def _split_means(h: Hmog, flat: NDArray) -> tuple[NDArray, ...]:
@@ -424,7 +538,9 @@ def _split_means(h: Hmog, flat: NDArray) -> tuple[NDArray, ...]:
     )
 
 
-def hmog_em_iteration(h: Hmog, xs: NDArray) -> tuple[Hmog, HmogEmDiagnostics]:
+def hmog_em_iteration(
+    h: Hmog, xs: NDArray, *, posterior_pass: PosteriorPass | None = None
+) -> tuple[Hmog, HmogEmDiagnostics]:
     """One EM iteration: closed-form E-step, exact closed-form M-step.
 
     The complete-data log-likelihood splits into log p(x | y) and
@@ -437,26 +553,29 @@ def hmog_em_iteration(h: Hmog, xs: NDArray) -> tuple[Hmog, HmogEmDiagnostics]:
     the model left unchanged (flagged in diagnostics), so trajectories
     never decrease. A degenerate target (a collapsed component or a
     non-positive noise variance) raises DomainError.
+
+    ``posterior_pass``, when given, must be `hmog_posterior_pass` of ``h``
+    on ``xs`` (as returned in the previous iteration's diagnostics); it
+    saves recomputing it. The candidate is scored by the same pass that
+    yields its statistics, so one iteration makes one pass over the data.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         raise ValueError("EM requires a nonempty dataset")
-    ll_before = hmog_mean_log_likelihood(h, xs)
-    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = _split_means(
-        h, hmog_posterior_stats(h, xs)
-    )
+    before = posterior_pass if posterior_pass is not None else hmog_posterior_pass(h, xs)
+    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = _split_means(h, before.target)
     lgm = lgm_backward(h.obs, h.lat, eta_obs, eta_lat, cross_xy)
     mog = mixture_backward(h.lat, eta_lat, eta_cat, cross_yz)
     updated = assemble_hmog(lgm, mog)
-    ll_after = hmog_mean_log_likelihood(updated, xs)
-    discarded = ll_after < ll_before
+    after = hmog_posterior_pass(updated, xs)
+    discarded = after.mean_log_likelihood < before.mean_log_likelihood
     if discarded:
-        updated = h
-        ll_after = ll_before
+        updated, after = h, before
     return updated, HmogEmDiagnostics(
-        log_likelihood_before=ll_before,
-        log_likelihood_after=ll_after,
+        log_likelihood_before=before.mean_log_likelihood,
+        log_likelihood_after=after.mean_log_likelihood,
         m_step_discarded=discarded,
+        posterior_pass=after,
     )
 
 
@@ -467,10 +586,8 @@ def hmog_em_iteration(h: Hmog, xs: NDArray) -> tuple[Hmog, HmogEmDiagnostics]:
 
 def hmog_project_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Posterior feature means E[Y | X = x], cluster index marginalized out."""
-    xs = np.asarray(xs, dtype=float)
-    shifts = xs @ h.obs_interaction
-    post = mixture_posterior_stats(_posterior_mixture(h), shifts)
-    return post.feature_means
+    shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
+    return mixture_posterior_stats(h.prepared.posterior, shifts).feature_means
 
 
 def hmog_project(h: Hmog, x: NDArray) -> NDArray:
@@ -479,8 +596,8 @@ def hmog_project(h: Hmog, x: NDArray) -> NDArray:
 
 def hmog_classify_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Cluster posteriors p(z | x), features marginalized out; rows sum to 1."""
-    xs = np.asarray(xs, dtype=float)
-    return shifted_posteriors(_posterior_mixture(h), xs @ h.obs_interaction)
+    shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
+    return shifted_posteriors(h.prepared.posterior, shifts)
 
 
 def hmog_classify(h: Hmog, x: NDArray) -> NDArray:
@@ -523,7 +640,7 @@ def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
     returned linear Gaussian model carries the standard-normal prior;
     `assemble_hmog` of the result reproduces the input exactly.
     """
-    mog = _prior_mixture(h)
+    mog = h.prepared.prior
     lgm = LinearGaussianModel(
         obs=h.obs,
         lat=h.lat,
@@ -538,7 +655,7 @@ def hmog_sample(
     h: Hmog, size: int, rng: np.random.Generator
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Ancestral draws ``(observations, features, cluster indices)``."""
-    ys, zs = mog_sample(_prior_mixture(h), size, rng)
+    ys, zs = mog_sample(h.prepared.prior, size, rng)
     first, solve, _, covariance = h.obs._scale(
         h.obs_params, "observable natural parameters"
     )

@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from scipy.linalg import cho_solve
 
 from .families import DomainError, MultivariateNormal, Structure, _chol_lower
-from .harmonium import ConjugationParams, Harmonium, em_iteration
+from .harmonium import ConjugationParams, Harmonium
 
 __all__ = [
     "LinearGaussianModel",
@@ -236,24 +236,25 @@ def lgm_backward(
 def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianModel:
     """One closed-form EM step on observations.
 
-    Shares the generic harmonium EM skeleton: per-sample posterior feature
-    moments (the posterior covariance is sample-independent because the
-    interaction couples first-order statistics only), averaged statistics,
-    then the structure-projected backward mapping.
+    The interaction couples first-order statistics only, so every
+    posterior p(y | x) shares one covariance ``S = (-2 Theta_Y)^{-1}`` and
+    has mean ``S (theta_Y + W^T x)``: the E-step is one product of the
+    data with ``W S``. The averaged statistics ``(mean s_X(x), mean s_Y,
+    mean x mu^T)`` go to the structure-projected backward mapping.
     """
+    data = np.asarray(data, dtype=float)
+    if len(data) == 0:
+        raise ValueError("EM requires a nonempty dataset")
     lat = model.lat
-    _, lat_second = lat.split_natural(model.lat_params)
-
-    def latent_forward(posterior_nats: NDArray) -> NDArray:
-        firsts = posterior_nats[:, : lat.dim]
-        means, cov = lat.to_mean_batch(firsts, lat_second)
-        return lat.mean_flats(means, cov)
-
-    def joint_backward(eta_x: NDArray, eta_y: NDArray, cross: NDArray):
-        block = cross[: model.obs.dim, : lat.dim]
-        return lgm_backward(model.obs, lat, eta_x, eta_y, block)
-
-    return em_iteration(as_harmonium(model), data, latent_forward, joint_backward)
+    lat_first, lat_second = lat.split_natural(model.lat_params)
+    lower = _chol_lower(-2.0 * lat_second, "posterior feature precision")
+    cov = cho_solve((lower, True), np.eye(lat.dim))
+    means = data @ (model.interaction @ cov) + lat_first @ cov
+    count = len(data)
+    eta_x = model.obs.mean_statistics(data)
+    eta_y = lat.join_mean(means.mean(axis=0), cov + means.T @ means / count)
+    cross = data.T @ means / count
+    return lgm_backward(model.obs, lat, eta_x, eta_y, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +283,11 @@ def lgm_log_densities(model: LinearGaussianModel, xs: NDArray) -> NDArray:
     mean and covariance, without forming that covariance.
     """
     xs = np.asarray(xs, dtype=float)
-    stats = model.obs.sufficient_statistics(xs)
     lat_first, lat_second = model.lat.split_natural(model.lat_params)
     firsts = lat_first + xs @ model.interaction
     psi_posterior = model.lat.log_partition_batch(firsts, lat_second)
     return (
-        stats @ model.obs_params
+        model.obs.dot_statistics(model.obs_params, xs)
         + psi_posterior
         - lgm_log_partition(model)
         + model.obs.log_base_measure(xs)

@@ -5,22 +5,38 @@ with a categorical index: component 1 lives at the base natural
 parameters and component ``z > 1`` at the base shifted by column ``z - 2``
 of the interaction matrix. Conjugation parameters are exact by
 construction, which gives closed-form densities, posteriors, and EM.
+
+Each model factors its component precisions once, with one stacked
+Cholesky, into `MixtureModel.prepared`. Everything evaluated under
+per-sample first-order shifts of the base (the shape of every feature
+posterior of a hierarchical model) is one kernel pass over those factors:
+one product of the shifts with the stacked whitening maps, a max-shift
+log-sum-exp over the component logits, and, on request, the posterior
+feature means and the data-summed per-component statistics. The
+conjugation parameters are read off the same factors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import logsumexp
 
-from .families import Categorical, DomainError, MultivariateNormal, Structure
+from .families import (
+    Categorical,
+    DomainError,
+    MultivariateNormal,
+    Structure,
+    normalize_logits,
+)
 from .harmonium import ConjugationParams, Harmonium, em_iteration
 
 __all__ = [
     "MixtureModel",
     "MixturePosterior",
+    "PreparedMixture",
     "mixture_conjugation_parameters",
     "mixture_forward",
     "mixture_backward",
@@ -86,6 +102,15 @@ class MixtureModel:
             return self.base_params.copy()
         return self.base_params + self.interaction[:, z - 2]
 
+    @functools.cached_property
+    def prepared(self) -> "PreparedMixture":
+        """Stacked component factors, computed on first use and kept.
+
+        The blocks must not be mutated in place after this is read;
+        `dataclasses.replace` yields a new model with its own factors.
+        """
+        return _prepare_mixture(self)
+
 
 def as_harmonium(model: MixtureModel) -> Harmonium:
     """View the mixture as a harmonium (Gaussian observable, index latent)."""
@@ -103,16 +128,11 @@ def mixture_conjugation_parameters(model: MixtureModel) -> ConjugationParams:
 
     ``rho0 = psi_Y(theta_Y)`` and ``rho_i = psi_Y(theta_Y + offset_i) -
     rho0`` for each non-reference component; the conjugation equation then
-    holds with equality at every index.
+    holds with equality at every index. The component log-partitions are
+    read off the model's prepared factors.
     """
-    rho0 = model.lat.log_partition(model.base_params)
-    rho = np.array(
-        [
-            model.lat.log_partition(model.component_params(z)) - rho0
-            for z in range(2, model.num_components + 1)
-        ]
-    )
-    return ConjugationParams(rho=rho, rho0=rho0)
+    psi = model.prepared.log_partitions
+    return ConjugationParams(rho=psi[1:] - psi[0], rho0=float(psi[0]))
 
 
 def mixture_log_partition(model: MixtureModel) -> float:
@@ -197,96 +217,155 @@ def mixture_backward(
 
 
 # ---------------------------------------------------------------------------
-# Batched computations against first-order shifts of the base parameters
+# The prepared posterior kernel: every computation under first-order shifts
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
+class PreparedMixture:
+    """Stacked per-component factors of a mixture, built once per model.
+
+    Component ``z`` has precision ``P_z = -2 Theta_z = L_z L_z^T``;
+    ``whiten[z - 1]`` is ``L_z^{-T}``, so ``P_z^{-1} = whiten whiten^T``
+    and the quadratic form of a row vector ``v`` is ``|v @ whiten|^2``.
+    ``offsets`` holds the whitened first-order blocks ``theta_mu(z) @
+    whiten[z - 1]`` side by side (k m,); ``bias`` the shift-free part of
+    each index logit, ``theta_Z . s_Z(z) - 1/2 log|P_z|``; and
+    ``log_partitions`` the unshifted component log-partitions.
+    """
+
+    whiten: NDArray
+    offsets: NDArray
+    bias: NDArray
+    log_partitions: NDArray
+    # The factors laid out for the kernel's single GEMM: the whitening maps
+    # side by side (m, k m), their transposes stacked (k m, m), and the
+    # block indicator (k m, k) that sums squares per component.
+    whiten_wide: NDArray
+    unwhiten_tall: NDArray
+    blocks: NDArray
+
+
+def _precision_stack(lat: MultivariateNormal, naturals: NDArray) -> NDArray:
+    """Dense precisions ``-2 Theta`` of stacked full-covariance natural vectors."""
+    m = lat.dim
+    rows, cols = np.tril_indices(m)
+    # Off-diagonal entries are stored doubled, so -2 Theta_ij = -packed.
+    packed = naturals[:, m:] * np.where(rows == cols, -2.0, -1.0)
+    precisions = np.empty((len(naturals), m, m))
+    precisions[:, rows, cols] = packed
+    precisions[:, cols, rows] = packed
+    return precisions
+
+
+def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
+    """Factor every component precision with one stacked Cholesky.
+
+    Raises DomainError for non-finite parameters; when a precision is not
+    positive-definite it names the component with the most negative
+    eigenvalue.
+    """
+    k, m = model.num_components, model.dim
+    naturals = np.vstack([model.base_params, model.base_params + model.interaction.T])
+    if not (np.all(np.isfinite(naturals)) and np.all(np.isfinite(model.cat_params))):
+        raise DomainError("non-finite mixture parameters")
+    precisions = _precision_stack(model.lat, naturals)
+    try:
+        lower = np.linalg.cholesky(precisions)
+    except np.linalg.LinAlgError:
+        worst = int(np.argmin(np.linalg.eigvalsh(precisions)[:, 0])) + 1
+        raise DomainError(
+            f"component {worst}: precision is not positive-definite"
+        ) from None
+    whiten = np.linalg.inv(lower).transpose(0, 2, 1)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+    offsets = np.einsum("ki,kij->kj", naturals[:, :m], whiten)
+    return PreparedMixture(
+        whiten=whiten,
+        offsets=offsets.reshape(k * m),
+        bias=np.concatenate([[0.0], model.cat_params]) - 0.5 * logdets,
+        log_partitions=0.5 * np.sum(offsets**2, axis=1) - 0.5 * logdets,
+        whiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
+        unwhiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
+        blocks=np.repeat(np.eye(k), m, axis=0),
+    )
+
+
+@dataclass(frozen=True)
 class MixturePosterior:
-    """Per-sample mixture expectations under first-order base shifts.
+    """One pass of a mixture under per-sample first-order base shifts.
 
-    ``probabilities`` holds the full index posteriors (N, k);
-    ``mean_stats`` the expected Gaussian sufficient statistics (N, s_Y);
-    ``cross_stats`` the expected ``s_Y (x) s_Z`` blocks (N, s_Y, k - 1);
-    ``feature_means`` the plain conditional means E[y | .] (N, m).
+    ``log_partition`` is the shifted joint log-partition per sample (N,)
+    and ``probabilities`` the index posteriors (N, k). With moments
+    requested, ``feature_means`` holds the posterior feature means E[y | .]
+    (N, m), and the data-summed statistics per component follow:
+    ``weights`` (k,) is the summed responsibility and ``component_stats``
+    (k, s_Y) the summed responsibility-weighted flat Gaussian mean
+    statistics, i.e. the flat packing of ``sum p mu`` and ``sum p mu mu^T
+    + weight Sigma``. No per-sample statistic tensors are formed.
     """
 
+    log_partition: NDArray
     probabilities: NDArray
-    mean_stats: NDArray
-    cross_stats: NDArray
-    feature_means: NDArray
+    feature_means: NDArray | None = None
+    weights: NDArray | None = None
+    component_stats: NDArray | None = None
 
 
-def _component_logits(model: MixtureModel, shifts: NDArray) -> NDArray:
-    """Unnormalized per-sample log index weights.
+def _shifted_pass(
+    model: MixtureModel, shifts: NDArray, moments: bool = False
+) -> MixturePosterior:
+    """The posterior kernel: one GEMM, a max-shift log-sum-exp, reduced sums.
 
-    Row ``i`` holds ``theta_Z . s_Z(z) + psi_Y(theta'_Y(i) + offset_z)``
-    for every ``z``, where ``theta'_Y(i)`` is the base with its
-    first-order block shifted by ``shifts[i]``. The log-sum-exp over a row
-    is the shifted joint log-partition; the softmax is the index
-    posterior.
+    The whitened first-order terms ``(theta_mu(z) + shift) @ whiten_z`` of all
+    components come from one product against the side-by-side whitening
+    maps; half their squared norms plus the bias are the index logits.
+    Moments are accumulated in whitened coordinates and mapped back once
+    per component.
     """
+    prep = model.prepared
     shifts = np.asarray(shifts, dtype=float)
-    count = shifts.shape[0]
-    k = model.num_components
-    m = model.dim
-    logits = np.empty((count, k))
-    for z in range(1, k + 1):
-        comp = model.component_params(z)
-        firsts = comp[:m] + shifts
-        _, second = model.lat.split_natural(comp)
-        psi = model.lat.log_partition_batch(firsts, second)
-        logits[:, z - 1] = psi
-        if z > 1:
-            logits[:, z - 1] += model.cat_params[z - 2]
-    return logits
+    count, k, m = len(shifts), model.num_components, model.dim
+    white = shifts @ prep.whiten_wide + prep.offsets
+    logits = prep.bias + 0.5 * ((white * white) @ prep.blocks)
+    log_partition, probs = normalize_logits(logits)
+    if not moments:
+        return MixturePosterior(log_partition=log_partition, probabilities=probs)
+
+    white = white.reshape(count, k, m)
+    weighted = probs[:, :, None] * white
+    feature_means = weighted.reshape(count, k * m) @ prep.unwhiten_tall
+    weights = np.sum(probs, axis=0)
+    # sum_n p u u^T per component, plus the weight times the identity that
+    # whitening turns the shared covariance into
+    outer = np.matmul(weighted.transpose(1, 2, 0), white.transpose(1, 0, 2))
+    outer += weights[:, None, None] * np.eye(m)
+    whiten = prep.whiten
+    first = np.einsum("kj,kij->ki", np.sum(weighted, axis=0), whiten)
+    second = whiten @ outer @ whiten.transpose(0, 2, 1)
+    rows, cols = np.tril_indices(m)
+    return MixturePosterior(
+        log_partition=log_partition,
+        probabilities=probs,
+        feature_means=feature_means,
+        weights=weights,
+        component_stats=np.concatenate([first, second[:, rows, cols]], axis=1),
+    )
 
 
 def shifted_log_partition(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Joint log-partition under per-sample first-order base shifts."""
-    return logsumexp(_component_logits(model, shifts), axis=1)
+    return _shifted_pass(model, shifts).log_partition
 
 
 def shifted_posteriors(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Index posteriors (N, k) under per-sample first-order base shifts."""
-    logits = _component_logits(model, shifts)
-    return np.exp(logits - logsumexp(logits, axis=1)[:, None])
+    return _shifted_pass(model, shifts).probabilities
 
 
 def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePosterior:
-    """Per-sample forward mapping under first-order base shifts.
-
-    The second-order block of every component is shift-invariant, so the
-    component covariances are factored once and only the means vary across
-    samples.
-    """
-    shifts = np.asarray(shifts, dtype=float)
-    count = shifts.shape[0]
-    k = model.num_components
-    m = model.dim
-
-    probs = shifted_posteriors(model, shifts)
-
-    mean_stats = np.zeros((count, model.lat.param_dim))
-    cross = np.zeros((count, model.lat.param_dim, k - 1))
-    feature_means = np.zeros((count, m))
-    for z in range(1, k + 1):
-        comp = model.component_params(z)
-        firsts = comp[:m] + shifts
-        _, second = model.lat.split_natural(comp)
-        means, cov = model.lat.to_mean_batch(firsts, second)
-        flats = model.lat.mean_flats(means, cov)
-        weight = probs[:, z - 1][:, None]
-        mean_stats += weight * flats
-        feature_means += weight * means
-        if z > 1:
-            cross[:, :, z - 2] = weight * flats
-    return MixturePosterior(
-        probabilities=probs,
-        mean_stats=mean_stats,
-        cross_stats=cross,
-        feature_means=feature_means,
-    )
+    """The shifted pass with feature means and data-summed statistics."""
+    return _shifted_pass(model, shifts, moments=True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +400,7 @@ def mog_posteriors(model: MixtureModel, ys: NDArray) -> NDArray:
     """Index posteriors p(z | y) for a batch, shape ``(len(ys), k)``."""
     ys = np.asarray(ys, dtype=float)
     stats = model.lat.sufficient_statistics(ys)
-    shifted = model.cat_params + stats @ model.interaction
-    padded = np.concatenate([np.zeros((len(ys), 1)), shifted], axis=1)
-    return np.exp(padded - logsumexp(padded, axis=1)[:, None])
+    return model.cat.probabilities_batch(model.cat_params + stats @ model.interaction)
 
 
 def mog_posterior(model: MixtureModel, y: NDArray) -> NDArray:

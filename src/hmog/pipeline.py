@@ -6,6 +6,10 @@ the assembled hierarchical model and continue with EM whose maximization
 step is the exact closed form. Every reported log-likelihood is the
 observable density of the assembled hierarchical model, so trajectories
 and cross-validation scores are directly comparable across methods.
+Stage 2 keeps the likelihood model fixed, so each restart computes the
+data's feature shifts and mean observable statistic once and scores every
+mixture step through the posterior kernel; unified EM carries each iteration's
+fused posterior pass into the next.
 
 All randomness flows through explicitly seeded generators; identical
 inputs produce identical reports and identical serialized artifacts.
@@ -30,7 +34,8 @@ from .hierarchical import (
     hmog_classify_batch,
     hmog_em_iteration,
     hmog_log_densities,
-    hmog_mean_log_likelihood,
+    hmog_mean_log_likelihood_from_terms,
+    hmog_observation_terms,
     hmog_sample,
 )
 from .linear_gaussian import (
@@ -426,11 +431,15 @@ def _two_stage_single(
 
     projected = lgm_project_batch(lgm, data)
     mog = init_mog(projected, cfg.clusters, seed)
+    # The conditional p(x | y) is fixed from here on: the feature shifts
+    # and mean observable statistic of the data are computed once.
+    terms = hmog_observation_terms(assemble_hmog(lgm, mog), data)
     stage2 = []
     try:
         for _ in range(cfg.stage2_iters):
             mog = mog_em_step(mog, projected, jitter=STAGE2_JITTER)
-            stage2.append(hmog_mean_log_likelihood(assemble_hmog(lgm, mog), data))
+            model = assemble_hmog(lgm, mog)
+            stage2.append(hmog_mean_log_likelihood_from_terms(model, *terms))
     except DomainError as exc:
         raise DomainError(f"stage 2 EM failed: {exc}") from exc
     return lgm, mog, stage1, stage2
@@ -487,7 +496,9 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     Each restart initializes by a full two-stage fit on its own seed,
     assembles the hierarchical model, and runs ``cfg.hmog_iters`` EM
     iterations with the exact closed-form maximization step; the final
-    train log-likelihood never falls below the two-stage value.
+    train log-likelihood never falls below the two-stage value. Each
+    iteration hands its fused posterior pass to the next, so an iteration
+    scores the data once.
     """
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     start = time.perf_counter()
@@ -498,8 +509,10 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
             lgm, mog, stage1, stage2 = _two_stage_single(points, cfg, cfg.seed + restart)
             model = assemble_hmog(lgm, mog)
             unified = []
+            current = None
             for _ in range(cfg.hmog_iters):
-                model, diag = hmog_em_iteration(model, points)
+                model, diag = hmog_em_iteration(model, points, posterior_pass=current)
+                current = diag.posterior_pass
                 unified.append(diag.log_likelihood_after)
         except DomainError as exc:
             failure = exc
@@ -680,7 +693,10 @@ def model_from_dict(payload: dict) -> Hmog:
 
     The method must be one of `METHODS` and every parameter block must
     have the length its structure and ``dims`` imply; a violation raises
-    ValueError naming the offending field.
+    ValueError naming the offending field. Non-finite entries, a
+    non-negative observable second-order block or a component whose joint
+    precision is not positive-definite raise DomainError (a ValueError)
+    naming the block or component, here rather than at first use.
     """
     method = payload.get("method")
     if method not in METHODS:
@@ -693,7 +709,7 @@ def model_from_dict(payload: dict) -> Hmog:
     params = payload.get("params", {})
     obs = MultivariateNormal(n, _structure(method))
     lat = MultivariateNormal(m, Structure.FULL)
-    return Hmog(
+    model = Hmog(
         obs=obs,
         lat=lat,
         obs_params=np.concatenate(
@@ -705,6 +721,8 @@ def model_from_dict(payload: dict) -> Hmog:
         obs_interaction=_block(params, "theta_xy", (n, m)),
         lat_interaction=_block(params, "theta_yz", (lat.param_dim, k - 1)),
     )
+    model.prepared  # validate the domain now
+    return model
 
 
 def save_model(model: Hmog, method: str, seed: int, path) -> None:

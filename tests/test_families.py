@@ -159,6 +159,19 @@ class TestMvnSufficientStatistic:
             assert actual == pytest.approx(expected, abs=1e-12)
 
 
+    @pytest.mark.parametrize("structure", ALL_STRUCTURES)
+    def test_batch_helpers_match_materialized_statistics(self, structure):
+        rng = np.random.default_rng(4)
+        fam = MultivariateNormal(4, structure)
+        xs = rng.normal(size=(30, 4))
+        theta = random_natural(fam, rng)
+        stats = fam.sufficient_statistics(xs)
+        np.testing.assert_allclose(fam.dot_statistics(theta, xs), stats @ theta, atol=1e-12)
+        np.testing.assert_allclose(fam.mean_statistics(xs), stats.mean(axis=0), atol=1e-12)
+        with pytest.raises(ValueError):
+            fam.dot_statistics(theta, xs[:, :3])
+
+
 class TestMvnLogPartition:
     def test_standard_normal_1d(self):
         fam = MultivariateNormal(1)

@@ -239,6 +239,35 @@ class TestEmIteration:
             assert current >= previous - 1e-9
             previous = current
 
+    @pytest.mark.parametrize(
+        "structure", [Structure.ISOTROPIC, Structure.DIAGONAL, Structure.FULL]
+    )
+    def test_first_order_lgm_step_matches_skeleton(self, structure):
+        """The GEMM E-step of lgm_em_step equals the generic dense-embedding step."""
+        rng = np.random.default_rng(19)
+        truth, _ = random_lgm(rng, structure=structure)
+        data, _ = lg.lgm_sample(truth, 300, rng)
+        model, _ = random_lgm(rng, structure=structure)
+        lat = model.lat
+        _, lat_second = lat.split_natural(model.lat_params)
+
+        def latent_forward(posterior_nats):
+            means, cov = lat.to_mean_batch(posterior_nats[:, : lat.dim], lat_second)
+            return np.stack([lat.join_mean(mu, cov + np.outer(mu, mu)) for mu in means])
+
+        def joint_backward(eta_x, eta_y, cross):
+            block = cross[: model.obs.dim, : lat.dim]
+            return lg.lgm_backward(model.obs, lat, eta_x, eta_y, block)
+
+        reference = em_iteration(
+            lg.as_harmonium(model), data, latent_forward, joint_backward
+        )
+        stepped = lg.lgm_em_step(model, data)
+        for name in ("obs_params", "lat_params", "interaction"):
+            np.testing.assert_allclose(
+                getattr(stepped, name), getattr(reference, name), rtol=1e-10, atol=1e-12
+            )
+
     def test_self_consistency_near_mle(self):
         """EM from the truth moves parameters O(1/sqrt(N)) on its own sample."""
         rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
 """Hierarchical mixtures of Gaussians: densities, forward mapping, EM."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.stats import multivariate_normal
 from hmog import hierarchical as hh
 from hmog import linear_gaussian as lg
 from hmog import mixture as mx
-from hmog.families import Structure
+from hmog.families import DomainError, Structure
 
 
 def random_hmog(rng, n=3, m=2, k=3, structure=Structure.DIAGONAL, spread=1.5):
@@ -419,3 +420,136 @@ class TestValidityGuard:
         sl = hh.block_slices(model)["lat_interaction"]
         flat[sl.stop - 1] = 1e4  # explode component 2's second-order offset
         assert "lat_interaction" in hh.valid_blocks(hh.unpack_params(model, flat))
+
+
+def shifted_mixture(model, shift):
+    """The feature-posterior mixture of one observation, built directly."""
+    posterior = model.prepared.posterior
+    return mx.MixtureModel(
+        lat=posterior.lat,
+        base_params=posterior.base_params
+        + np.concatenate([shift, np.zeros(posterior.lat.param_dim - len(shift))]),
+        cat_params=posterior.cat_params,
+        interaction=posterior.interaction,
+    )
+
+
+class TestPreparedKernel:
+    @pytest.mark.parametrize("structure", [Structure.DIAGONAL, Structure.ISOTROPIC])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fused_pass_matches_per_point_forward(self, structure, k):
+        """Every kernel output equals mixture_forward of each shifted mixture."""
+        rng = np.random.default_rng(30 + k)
+        model, _, _ = random_hmog(rng, k=k, structure=structure)
+        xs, _, _ = hh.hmog_sample(model, 40, rng)
+        shifts = xs @ model.obs_interaction
+        post = mx.mixture_posterior_stats(model.prepared.posterior, shifts)
+
+        m = model.lat_dim
+        component_stats = np.zeros_like(post.component_stats)
+        cross_xy = np.zeros((3, m))
+        for i, (x, shift) in enumerate(zip(xs, shifts)):
+            moved = shifted_mixture(model, shift)
+            eta_y, eta_z, cross = mx.mixture_forward(moved)
+            assert post.log_partition[i] == pytest.approx(
+                mx.mixture_log_partition(moved), abs=1e-10
+            )
+            np.testing.assert_allclose(
+                post.probabilities[i], mx.mixture_weights(moved), atol=1e-10
+            )
+            np.testing.assert_allclose(post.feature_means[i], eta_y[:m], atol=1e-10)
+            component_stats[0] += eta_y - cross.sum(axis=1)
+            component_stats[1:] += cross.T
+            cross_xy += np.outer(x, eta_y[:m])
+        np.testing.assert_allclose(post.component_stats, component_stats, atol=1e-10)
+        np.testing.assert_allclose(post.weights, post.probabilities.sum(axis=0), atol=1e-12)
+
+        eta_obs, eta_lat, eta_cat, target_xy, target_yz = hh._split_means(
+            model, hh.hmog_posterior_stats(model, xs)
+        )
+        count = len(xs)
+        np.testing.assert_allclose(eta_lat, component_stats.sum(axis=0) / count, atol=1e-10)
+        np.testing.assert_allclose(eta_cat, post.weights[1:] / count, atol=1e-12)
+        np.testing.assert_allclose(target_xy, cross_xy / count, atol=1e-10)
+        np.testing.assert_allclose(target_yz, component_stats[1:].T / count, atol=1e-10)
+        np.testing.assert_allclose(
+            eta_obs, model.obs.sufficient_statistics(xs).mean(axis=0), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_fused_log_likelihood_matches_mean_log_density(self, k):
+        rng = np.random.default_rng(40 + k)
+        model, _, _ = random_hmog(rng, k=k)
+        xs, _, _ = hh.hmog_sample(model, 200, rng)
+        fused = hh.hmog_posterior_pass(model, xs).mean_log_likelihood
+        assert abs(fused - hh.hmog_mean_log_likelihood(model, xs)) <= 1e-12
+        assert abs(fused - float(np.mean(hh.hmog_log_densities(model, xs)))) <= 1e-12
+
+    def test_carried_pass_is_bit_identical(self):
+        """Handing each iteration's pass to the next changes no bit."""
+        rng = np.random.default_rng(44)
+        truth, _, _ = random_hmog(rng, k=3)
+        xs, _, _ = hh.hmog_sample(truth, 300, rng)
+        start, _, _ = random_hmog(np.random.default_rng(45), k=3)
+        carried, current = start, None
+        uncached = start
+        for _ in range(5):
+            carried, diag = hh.hmog_em_iteration(carried, xs, posterior_pass=current)
+            current = diag.posterior_pass
+            # a fresh instance holds no prepared state
+            uncached, _ = hh.hmog_em_iteration(dataclasses.replace(uncached), xs)
+        assert hh.pack_params(carried).tobytes() == hh.pack_params(uncached).tobytes()
+
+    def test_replace_does_not_reuse_prepared_state(self):
+        rng = np.random.default_rng(46)
+        model, _, _ = random_hmog(rng)
+        prepared = model.prepared
+        assert model.prepared is prepared
+        assert dataclasses.replace(model).prepared is not prepared
+        moved = dataclasses.replace(model, cat_params=model.cat_params + 0.7)
+        assert moved.prepared.log_partition != prepared.log_partition
+        x = rng.normal(size=3)
+        assert hh.hmog_observable_log_density(moved, x) != pytest.approx(
+            hh.hmog_observable_log_density(model, x), abs=1e-6
+        )
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize(
+        "block", ["obs_params", "lat_params", "cat_params", "obs_interaction"]
+    )
+    def test_non_finite_block_named(self, block):
+        """Apply calls fail at once, naming the block, instead of passing NaN on."""
+        rng = np.random.default_rng(50)
+        model, _, _ = random_hmog(rng)
+        value = getattr(model, block).copy()
+        value.flat[0] = np.nan
+        bad = dataclasses.replace(model, **{block: value})
+        names = {
+            "obs_params": "theta_x_mu",
+            "lat_params": "theta_y",
+            "cat_params": "theta_z",
+            "obs_interaction": "theta_xy",
+        }
+        xs = rng.normal(size=(5, 3))
+        for apply in (hh.hmog_classify_batch, hh.hmog_project_batch, hh.hmog_log_densities):
+            with pytest.raises(DomainError, match=names[block]):
+                apply(bad, xs)
+
+    def test_indefinite_component_named(self):
+        rng = np.random.default_rng(51)
+        model, _, _ = random_hmog(rng, n=2, m=1, k=2)
+        interaction = model.lat_interaction.copy()
+        interaction[-1, 0] = 1e4  # component 2's precision turns negative
+        bad = dataclasses.replace(model, lat_interaction=interaction)
+        with pytest.raises(DomainError, match="component 2"):
+            hh.hmog_classify_batch(bad, np.zeros((1, 2)))
+
+    def test_non_negative_observable_block_named(self):
+        rng = np.random.default_rng(52)
+        model, _, _ = random_hmog(rng)
+        obs_params = model.obs_params.copy()
+        obs_params[3:] = 0.5
+        bad = dataclasses.replace(model, obs_params=obs_params)
+        with pytest.raises(DomainError, match="theta_xx"):
+            hh.hmog_log_densities(bad, np.zeros((1, 3)))

@@ -319,6 +319,7 @@ class TestShiftedComputations:
         model, _ = random_mog(rng, 3, 2)
         stats = mx.mixture_posterior_stats(model, np.zeros((1, 2)))
         eta_y, eta_z, cross = mx.mixture_forward(model)
-        np.testing.assert_allclose(stats.mean_stats[0], eta_y, atol=1e-10)
+        np.testing.assert_allclose(stats.component_stats.sum(axis=0), eta_y, atol=1e-10)
         np.testing.assert_allclose(stats.probabilities[0, 1:], eta_z, atol=1e-10)
-        np.testing.assert_allclose(stats.cross_stats[0], cross, atol=1e-10)
+        np.testing.assert_allclose(stats.weights[1:], eta_z, atol=1e-10)
+        np.testing.assert_allclose(stats.component_stats[1:].T, cross, atol=1e-10)

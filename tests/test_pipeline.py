@@ -12,6 +12,7 @@ from hmog import mixture as mx
 from hmog.families import DomainError, Structure
 from hmog.optim import AdamConfig
 from hmog.pipeline import (
+    STAGE2_JITTER,
     CvReport,
     Dataset,
     FitConfig,
@@ -228,6 +229,21 @@ class TestFitTwoStage:
         assert report.final_train_log_likelihood == pytest.approx(max(finals), abs=1e-12)
         assert report.restart_index == int(np.argmax(finals))
 
+    @pytest.mark.parametrize("method", ["two_stage_pca", "two_stage_fa"])
+    def test_stage_two_scores_match_assembled_model(self, synthetic_data, method):
+        """Fixed-shift stage-2 scoring equals scoring each assembled model afresh."""
+        _, data = synthetic_data
+        cfg = small_cfg(method, clusters=3, stage1_iters=10, stage2_iters=8)
+        lgm, _, report = fit_two_stage(data, cfg)
+        projected = lg.lgm_project_batch(lgm, data.points)
+        mog = init_mog(projected, cfg.clusters, cfg.seed)
+        for score in report.stages[1].log_likelihoods:
+            mog = mx.mog_em_step(mog, projected, jitter=STAGE2_JITTER)
+            model = hh.assemble_hmog(lgm, mog)
+            assert abs(score - hh.hmog_mean_log_likelihood(model, data.points)) <= 1e-12
+            per_point = float(np.mean(hh.hmog_log_densities(model, data.points)))
+            assert abs(score - per_point) <= 1e-12
+
     def test_deterministic_report(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("two_stage_pca")
@@ -387,6 +403,25 @@ class TestSerialization:
         payload = model_to_dict(truth, "hmog_fa", seed=3)
         payload["params"]["theta_xx"].append(-0.5)
         with pytest.raises(ValueError, match="theta_xx"):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("block", ["theta_x_mu", "theta_y", "theta_xy", "theta_yz"])
+    def test_non_finite_block_rejected(self, tmp_path, synthetic_data, block):
+        truth, _ = synthetic_data
+        payload = model_to_dict(truth, "hmog_fa", seed=3)
+        value = np.asarray(payload["params"][block], dtype=float)
+        value.flat[0] = np.nan
+        payload["params"][block] = value.tolist()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DomainError, match=block):
+            load_model(path)
+
+    def test_indefinite_component_rejected_on_load(self, synthetic_data):
+        truth, _ = synthetic_data
+        payload = model_to_dict(truth, "hmog_fa", seed=3)
+        payload["params"]["theta_yz"][-1][0] = 1e4
+        with pytest.raises(DomainError, match="component 2"):
             model_from_dict(payload)
 
     def test_json_write_read_write_identical(self, tmp_path, synthetic_data):
