@@ -9,8 +9,11 @@ through a bilinear interaction:
 Everything here is generic over the two families. The concrete model
 modules (mixtures, linear Gaussian models) supply conjugation parameters
 and closed-form backward mappings; this module verifies conjugation,
-evaluates densities through it, and provides the one shared EM iteration
-skeleton both models plug their callbacks into.
+evaluates densities through it, and provides the generic EM iteration
+skeleton. The models' own EM steps reduce the data once per fit or
+restart instead (`linear_gaussian.lgm_moment_pass`,
+`mixture.mog_em_step_from_statistics`); the skeleton is the reference
+they are tested against.
 
 All types are immutable values and all operations are pure functions.
 """

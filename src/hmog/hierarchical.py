@@ -68,7 +68,6 @@ __all__ = [
     "hmog_joint_log_density",
     "hmog_observable_log_density",
     "hmog_log_densities",
-    "hmog_observation_terms",
     "hmog_mean_log_likelihood_from_terms",
     "hmog_mean_log_likelihood",
     "hmog_forward",
@@ -313,18 +312,6 @@ def hmog_observable_log_density(h: Hmog, x: NDArray) -> float:
     return float(hmog_log_densities(h, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def hmog_observation_terms(h: Hmog, xs: NDArray) -> tuple[NDArray, NDArray]:
-    """What the mean log-likelihood needs from the data under p(x | y).
-
-    Returns the first-order feature shifts ``x @ W`` per point and the
-    mean observable statistic. Both depend only on the conditional, so
-    they stay fixed while only the feature prior changes, as in stage 2 of
-    two-stage training.
-    """
-    xs = np.asarray(xs, dtype=float)
-    return xs @ h.obs_interaction, h.obs.mean_statistics(xs)
-
-
 def _mean_log_likelihood(h: Hmog, eta_obs: NDArray, posterior_psi: NDArray) -> float:
     # The observable exponent is linear in s_X(x), so its data mean is the
     # mean statistic's exponent; the Gaussian base measure is constant.
@@ -335,13 +322,22 @@ def _mean_log_likelihood(h: Hmog, eta_obs: NDArray, posterior_psi: NDArray) -> f
 def hmog_mean_log_likelihood_from_terms(
     h: Hmog, shifts: NDArray, eta_obs: NDArray
 ) -> float:
-    """Mean log-likelihood from `hmog_observation_terms` of the same conditional."""
+    """Mean log-likelihood from the feature shifts ``x @ W`` and mean statistic.
+
+    ``shifts`` are the first-order feature shifts of the data under p(x | y)
+    and ``eta_obs`` its mean observable statistic. Neither depends on the
+    feature prior, so they stay fixed while only the prior changes, as in
+    stage 2 of two-stage training.
+    """
     posterior_psi = shifted_log_partition(h.prepared.posterior, shifts)
     return _mean_log_likelihood(h, eta_obs, posterior_psi)
 
 
 def hmog_mean_log_likelihood(h: Hmog, xs: NDArray) -> float:
-    return hmog_mean_log_likelihood_from_terms(h, *hmog_observation_terms(h, xs))
+    xs = np.asarray(xs, dtype=float)
+    return hmog_mean_log_likelihood_from_terms(
+        h, xs @ h.obs_interaction, h.obs.mean_statistics(xs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +499,13 @@ def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
     feature-cluster blocks).
     """
     xs = np.asarray(xs, dtype=float)
+    return _posterior_pass(h, xs, h.obs.mean_statistics(xs))
+
+
+def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> PosteriorPass:
+    """`hmog_posterior_pass` given the mean observable statistic of ``xs``."""
     count = len(xs)
-    shifts, eta_obs = hmog_observation_terms(h, xs)
-    post = mixture_posterior_stats(h.prepared.posterior, shifts)
+    post = mixture_posterior_stats(h.prepared.posterior, xs @ h.obs_interaction)
     stats = post.component_stats / count
     target = pack_means(
         eta_obs,
@@ -567,7 +567,8 @@ def hmog_em_iteration(
     lgm = lgm_backward(h.obs, h.lat, eta_obs, eta_lat, cross_xy)
     mog = mixture_backward(h.lat, eta_lat, eta_cat, cross_yz)
     updated = assemble_hmog(lgm, mog)
-    after = hmog_posterior_pass(updated, xs)
+    # The mean observable statistic is a property of the data alone.
+    after = _posterior_pass(updated, xs, eta_obs)
     discarded = after.mean_log_likelihood < before.mean_log_likelihood
     if discarded:
         updated, after = h, before

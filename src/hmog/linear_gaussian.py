@@ -10,6 +10,14 @@ probabilistic PCA; diagonal structure gives factor analysis. All solves
 against the observable precision are elementwise for those structures, so
 conjugation parameters, densities, and projection cost O(n m^2) in the
 observable dimension n.
+
+EM and the mean log-likelihood depend on the data only through its sample
+mean, centred covariance ``C`` and mean observable statistic
+(`DataMoments`; Rubin & Thayer 1982, Ghahramani & Hinton 1996). Those cost
+O(N n^2) time once per dataset and O(n^2) memory; after that one
+`lgm_moment_pass` per EM step scores the current model and yields the next
+step's E-step target from the single O(n^2 m) product ``C @ W``, with no
+pass over the points.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from .harmonium import ConjugationParams, Harmonium
 
 __all__ = [
     "LinearGaussianModel",
+    "DataMoments",
+    "MomentPass",
+    "data_moments",
+    "lgm_moment_pass",
     "lgm_conjugation_parameters",
     "lgm_log_partition",
     "lgm_forward",
@@ -233,28 +245,98 @@ def lgm_backward(
     )
 
 
-def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianModel:
-    """One closed-form EM step on observations.
+# ---------------------------------------------------------------------------
+# EM and scoring on data moments
+# ---------------------------------------------------------------------------
 
-    The interaction couples first-order statistics only, so every
-    posterior p(y | x) shares one covariance ``S = (-2 Theta_Y)^{-1}`` and
-    has mean ``S (theta_Y + W^T x)``: the E-step is one product of the
-    data with ``W S``. The averaged statistics ``(mean s_X(x), mean s_Y,
-    mean x mu^T)`` go to the structure-projected backward mapping.
+
+@dataclass(frozen=True)
+class DataMoments:
+    """What linear Gaussian EM and scoring need from a dataset.
+
+    ``mean`` is the sample mean, ``covariance`` the centred sample
+    covariance ``(X - mean)^T (X - mean) / N`` (dense, n x n), and
+    ``statistic`` the mean observable sufficient statistic of the family
+    the moments were taken for.
     """
-    data = np.asarray(data, dtype=float)
-    if len(data) == 0:
-        raise ValueError("EM requires a nonempty dataset")
-    lat = model.lat
+
+    mean: NDArray
+    covariance: NDArray
+    statistic: NDArray
+
+
+def data_moments(obs: MultivariateNormal, xs: NDArray) -> DataMoments:
+    """Moments of the rows of ``xs`` under the observable family ``obs``."""
+    xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise ValueError("moments need a nonempty dataset")
+    statistic = obs.mean_statistics(xs)
+    mean = xs.mean(axis=0)
+    centred = xs - mean
+    return DataMoments(
+        mean=mean, covariance=centred.T @ centred / len(xs), statistic=statistic
+    )
+
+
+@dataclass(frozen=True)
+class MomentPass:
+    """One model on one dataset's moments.
+
+    ``mean_log_likelihood`` is the mean observable log-density of the
+    data and ``target`` the data-averaged ``(eta_X, eta_Y, H_XY)`` that
+    `lgm_backward` maps to the next EM iterate.
+    """
+
+    mean_log_likelihood: float
+    target: tuple[NDArray, NDArray, NDArray]
+
+
+def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> MomentPass:
+    """Mean log-likelihood and E-step target from the data moments alone.
+
+    Every posterior p(y | x) shares the covariance ``S = (-2 Theta_Y)^{-1}``
+    and has mean ``mu(x) = S (theta_Y + W^T x)``, affine in x, and log p(x)
+    is quadratic in x with Hessian ``-(A - W S W^T)``, ``A = -2 Theta_XX``.
+    So with the sample mean ``xbar`` and centred covariance ``C``:
+
+        mean log p(x)  = log p(xbar) - 1/2 tr(A C) + 1/2 tr(S W^T C W)
+        mean mu        = mu(xbar)
+        mean mu mu^T   = mu(xbar) mu(xbar)^T + S W^T C W S
+        mean x mu^T    = xbar mu(xbar)^T + C W S
+
+    One O(n^2 m) product ``C W`` serves both results. The centred form
+    keeps the accuracy of the per-point mean on data far from the origin.
+    """
+    n, lat = model.obs.dim, model.lat
     lat_first, lat_second = lat.split_natural(model.lat_params)
     lower = _chol_lower(-2.0 * lat_second, "posterior feature precision")
     cov = cho_solve((lower, True), np.eye(lat.dim))
-    means = data @ (model.interaction @ cov) + lat_first @ cov
-    count = len(data)
-    eta_x = model.obs.mean_statistics(data)
-    eta_y = lat.join_mean(means.mean(axis=0), cov + means.T @ means / count)
-    cross = data.T @ means / count
-    return lgm_backward(model.obs, lat, eta_x, eta_y, cross)
+    c_w = moments.covariance @ model.interaction
+    spread = model.interaction.T @ c_w
+    mean_y = cov @ (lat_first + model.interaction.T @ moments.mean)
+
+    # tr(Theta_XX C) is the packed natural block against C packed as a
+    # second-moment block of the same structure.
+    packed_c = model.obs.join_mean(np.zeros(n), moments.covariance)[n:]
+    centre = lgm_log_densities(model, moments.mean[None, :])[0]
+    mean_ll = centre + model.obs_params[n:] @ packed_c + 0.5 * np.sum(cov * spread)
+
+    second_y = cov + np.outer(mean_y, mean_y) + cov @ spread @ cov
+    cross = np.outer(moments.mean, mean_y) + c_w @ cov
+    target = (moments.statistic, lat.join_mean(mean_y, second_y), cross)
+    return MomentPass(mean_log_likelihood=float(mean_ll), target=target)
+
+
+def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianModel:
+    """One closed-form EM step on observations.
+
+    `lgm_moment_pass` on the data's moments gives the averaged statistics
+    ``(mean s_X(x), mean s_Y, mean x mu^T)``; the structure-projected
+    backward mapping turns them into the next model. A run of steps on
+    fixed data computes the moments once and repeats the pass instead.
+    """
+    target = lgm_moment_pass(model, data_moments(model.obs, data)).target
+    return lgm_backward(model.obs, model.lat, *target)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +381,8 @@ def lgm_observable_log_density(model: LinearGaussianModel, x: NDArray) -> float:
 
 
 def lgm_mean_log_likelihood(model: LinearGaussianModel, xs: NDArray) -> float:
-    return float(np.mean(lgm_log_densities(model, xs)))
+    """Mean observable log-density: `lgm_moment_pass` on the moments of ``xs``."""
+    return lgm_moment_pass(model, data_moments(model.obs, xs)).mean_log_likelihood
 
 
 # ---------------------------------------------------------------------------

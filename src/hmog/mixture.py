@@ -31,7 +31,7 @@ from .families import (
     Structure,
     normalize_logits,
 )
-from .harmonium import ConjugationParams, Harmonium, em_iteration
+from .harmonium import ConjugationParams, Harmonium
 
 __all__ = [
     "MixtureModel",
@@ -50,6 +50,8 @@ __all__ = [
     "mog_mean_log_likelihood",
     "mog_posterior",
     "mog_posteriors",
+    "mog_statistics",
+    "mog_em_step_from_statistics",
     "mog_em_step",
     "mog_from_standard",
     "mog_to_standard",
@@ -407,27 +409,46 @@ def mog_posterior(model: MixtureModel, y: NDArray) -> NDArray:
     return mog_posteriors(model, np.asarray(y, dtype=float)[None, :])[0]
 
 
+def mog_statistics(lat: MultivariateNormal, ys: NDArray) -> tuple[NDArray, NDArray]:
+    """Per-point feature sufficient statistics (N, s_Y) and their mean.
+
+    They are all mixture EM needs from the data, so a run of steps on
+    fixed points computes them once (`mog_em_step_from_statistics`).
+    """
+    stats = lat.sufficient_statistics(ys)
+    return stats, stats.mean(axis=0)
+
+
+def mog_em_step_from_statistics(
+    model: MixtureModel, stats: NDArray, mean_stats: NDArray, jitter: float = 0.0
+) -> MixtureModel:
+    """One closed-form EM step on `mog_statistics` of the observed features.
+
+    Index posteriors come from the categorical forward mapping at
+    ``theta_Z + s_Y(y) . Theta_YZ``; their averages with the fixed
+    statistics go to the mixture backward mapping. The training
+    log-likelihood is nondecreasing. ``jitter`` (off by default) rescues
+    components whose weighted covariance loses positive-definiteness.
+    """
+    if len(stats) < model.num_components:
+        raise ValueError("need at least as many samples as mixture components")
+    posteriors = model.cat.to_mean_batch(model.cat_params + stats @ model.interaction)
+    return mixture_backward(
+        model.lat,
+        mean_stats,
+        posteriors.mean(axis=0),
+        stats.T @ posteriors / len(stats),
+        jitter=jitter,
+    )
+
+
 def mog_em_step(model: MixtureModel, data: NDArray, jitter: float = 0.0) -> MixtureModel:
     """One closed-form EM step on observed features.
 
-    Runs the shared harmonium EM skeleton with the categorical forward
-    mapping and the mixture backward mapping; the training log-likelihood
-    is nondecreasing. ``jitter`` (off by default) rescues components whose
-    weighted covariance loses positive-definiteness.
+    Computes `mog_statistics` of ``data`` and runs
+    `mog_em_step_from_statistics` on them.
     """
-    data = np.asarray(data, dtype=float)
-    if len(data) < model.num_components:
-        raise ValueError("need at least as many samples as mixture components")
-
-    def backward(eta_y: NDArray, eta_z: NDArray, cross: NDArray) -> MixtureModel:
-        return mixture_backward(model.lat, eta_y, eta_z, cross, jitter=jitter)
-
-    return em_iteration(
-        as_harmonium(model),
-        data,
-        latent_forward=model.cat.to_mean_batch,
-        joint_backward=backward,
-    )
+    return mog_em_step_from_statistics(model, *mog_statistics(model.lat, data), jitter)
 
 
 # ---------------------------------------------------------------------------

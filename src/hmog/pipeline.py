@@ -6,10 +6,16 @@ the assembled hierarchical model and continue with EM whose maximization
 step is the exact closed form. Every reported log-likelihood is the
 observable density of the assembled hierarchical model, so trajectories
 and cross-validation scores are directly comparable across methods.
-Stage 2 keeps the likelihood model fixed, so each restart computes the
-data's feature shifts and mean observable statistic once and scores every
-mixture step through the posterior kernel; unified EM carries each iteration's
-fused posterior pass into the next.
+
+Each fit computes the data's mean, centred covariance and mean observable
+statistic once (`linear_gaussian.data_moments`), rejects a zero-variance
+coordinate there, and shares them with every restart. Stage 1 runs on
+those moments alone: one `lgm_moment_pass` per step scores the current
+model and yields the next E-step target. Stage 2 keeps the likelihood
+model fixed, so each restart computes the feature shifts and the
+statistics of the projections once and scores every mixture step through
+the posterior kernel; unified EM carries each iteration's fused posterior
+pass into the next.
 
 All randomness flows through explicitly seeded generators; identical
 inputs produce identical reports and identical serialized artifacts.
@@ -35,22 +41,24 @@ from .hierarchical import (
     hmog_em_iteration,
     hmog_log_densities,
     hmog_mean_log_likelihood_from_terms,
-    hmog_observation_terms,
     hmog_sample,
 )
 from .linear_gaussian import (
+    DataMoments,
     LinearGaussianModel,
-    lgm_em_step,
+    data_moments,
+    lgm_backward,
     lgm_from_standard,
-    lgm_mean_log_likelihood,
+    lgm_moment_pass,
     lgm_project_batch,
 )
 from .mixture import (
     MixtureModel,
     mixture_forward,
-    mog_em_step,
+    mog_em_step_from_statistics,
     mog_from_standard,
     mog_posteriors,
+    mog_statistics,
 )
 from .optim import AdamConfig
 
@@ -268,10 +276,22 @@ def init_lgm(
     data = np.asarray(data, dtype=float)
     if len(data) < 2:
         raise ValueError("initialization needs at least two samples")
-    variances = data.var(axis=0)
+    return _initial_lgm(
+        data.mean(axis=0), data.var(axis=0), latent_dim, structure, seed
+    )
+
+
+def _check_variances(variances: NDArray) -> None:
     if np.any(variances <= 0.0):
         bad = int(np.flatnonzero(variances <= 0.0)[0])
         raise DomainError(f"zero-variance coordinate {bad}")
+
+
+def _initial_lgm(
+    mean: NDArray, variances: NDArray, latent_dim: int, structure: Structure, seed: int
+) -> LinearGaussianModel:
+    """`init_lgm` from the data's mean and per-coordinate variances."""
+    _check_variances(variances)
     if structure is Structure.ISOTROPIC:
         noise = float(variances.mean())
     elif structure is Structure.DIAGONAL:
@@ -279,8 +299,8 @@ def init_lgm(
     else:
         noise = np.diag(variances)
     rng = np.random.default_rng(seed)
-    loading = rng.uniform(-0.01, 0.01, size=(data.shape[1], latent_dim))
-    return lgm_from_standard(data.mean(axis=0), noise, loading, structure)
+    loading = rng.uniform(-0.01, 0.01, size=(len(mean), latent_dim))
+    return lgm_from_standard(mean, noise, loading, structure)
 
 
 def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
@@ -416,30 +436,56 @@ class CvReport:
 # ---------------------------------------------------------------------------
 
 
+def _fit_moments(points: NDArray, cfg: FitConfig) -> DataMoments:
+    """The data moments every restart of one fit shares.
+
+    Degenerate data (fewer than two points, or a coordinate without
+    variance) fails here, before any restart.
+    """
+    if len(points) < 2:
+        raise ValueError("initialization needs at least two samples")
+    moments = data_moments(MultivariateNormal(points.shape[1], cfg.structure), points)
+    _check_variances(np.diag(moments.covariance))
+    return moments
+
+
 def _two_stage_single(
-    data: NDArray, cfg: FitConfig, seed: int
+    data: NDArray, cfg: FitConfig, seed: int, moments: DataMoments
 ) -> tuple[LinearGaussianModel, MixtureModel, list[float], list[float]]:
-    """One two-stage restart; trajectories are assembled-model likelihoods."""
-    lgm = init_lgm(data, cfg.latent_dim, cfg.structure, seed)
+    """One two-stage restart; trajectories are assembled-model likelihoods.
+
+    Stage 1 runs on the moments of ``data`` alone: each step is one
+    `lgm_moment_pass`, which scores the current model and yields the next
+    step's target.
+    """
+    lgm = _initial_lgm(
+        moments.mean, np.diag(moments.covariance), cfg.latent_dim, cfg.structure, seed
+    )
     stage1 = []
     try:
+        current = lgm_moment_pass(lgm, moments)
         for _ in range(cfg.stage1_iters):
-            lgm = lgm_em_step(lgm, data)
-            stage1.append(lgm_mean_log_likelihood(lgm, data))
+            lgm = lgm_backward(lgm.obs, lgm.lat, *current.target)
+            current = lgm_moment_pass(lgm, moments)
+            stage1.append(current.mean_log_likelihood)
     except DomainError as exc:
         raise DomainError(f"stage 1 EM failed: {exc}") from exc
 
     projected = lgm_project_batch(lgm, data)
     mog = init_mog(projected, cfg.clusters, seed)
-    # The conditional p(x | y) is fixed from here on: the feature shifts
-    # and mean observable statistic of the data are computed once.
-    terms = hmog_observation_terms(assemble_hmog(lgm, mog), data)
+    # The conditional p(x | y) and the projections are fixed from here on:
+    # the feature shifts x @ W and the statistics of the projections are
+    # computed once, and the mean observable statistic comes with the moments.
+    shifts = data @ lgm.interaction
+    features = mog_statistics(mog.lat, projected)
     stage2 = []
     try:
         for _ in range(cfg.stage2_iters):
-            mog = mog_em_step(mog, projected, jitter=STAGE2_JITTER)
+            mog = mog_em_step_from_statistics(mog, *features, jitter=STAGE2_JITTER)
             model = assemble_hmog(lgm, mog)
-            stage2.append(hmog_mean_log_likelihood_from_terms(model, *terms))
+            stage2.append(
+                hmog_mean_log_likelihood_from_terms(model, shifts, moments.statistic)
+            )
     except DomainError as exc:
         raise DomainError(f"stage 2 EM failed: {exc}") from exc
     return lgm, mog, stage1, stage2
@@ -458,11 +504,14 @@ def fit_two_stage(
     """
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     start = time.perf_counter()
+    moments = _fit_moments(points, cfg)
     best = None
     failure: Exception | None = None
     for restart in range(cfg.restarts):
         try:
-            lgm, mog, stage1, stage2 = _two_stage_single(points, cfg, cfg.seed + restart)
+            lgm, mog, stage1, stage2 = _two_stage_single(
+                points, cfg, cfg.seed + restart, moments
+            )
         except DomainError as exc:
             # A restart that walks into a degenerate attractor (component
             # collapse) is a failed local attempt; keep the survivors.
@@ -502,11 +551,14 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     """
     points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     start = time.perf_counter()
+    moments = _fit_moments(points, cfg)
     best = None
     failure: Exception | None = None
     for restart in range(cfg.restarts):
         try:
-            lgm, mog, stage1, stage2 = _two_stage_single(points, cfg, cfg.seed + restart)
+            lgm, mog, stage1, stage2 = _two_stage_single(
+                points, cfg, cfg.seed + restart, moments
+            )
             model = assemble_hmog(lgm, mog)
             unified = []
             current = None

@@ -268,6 +268,25 @@ class TestEmIteration:
                 getattr(stepped, name), getattr(reference, name), rtol=1e-10, atol=1e-12
             )
 
+    def test_mog_step_matches_skeleton(self):
+        """The mixture EM step on precomputed statistics equals the generic step."""
+        rng = np.random.default_rng(20)
+        truth, _ = random_mog(rng, k=3)
+        data, _ = mx.mog_sample(truth, 300, rng)
+        model, _ = random_mog(rng, k=3)
+
+        def backward(eta_y, eta_z, cross):
+            return mx.mixture_backward(model.lat, eta_y, eta_z, cross)
+
+        reference = em_iteration(
+            mx.as_harmonium(model), data, model.cat.to_mean_batch, backward
+        )
+        stepped = mx.mog_em_step(model, data)
+        for name in ("base_params", "cat_params", "interaction"):
+            np.testing.assert_allclose(
+                getattr(stepped, name), getattr(reference, name), rtol=1e-12, atol=1e-12
+            )
+
     def test_self_consistency_near_mle(self):
         """EM from the truth moves parameters O(1/sqrt(N)) on its own sample."""
         rng = np.random.default_rng(17)

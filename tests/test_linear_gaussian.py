@@ -2,6 +2,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.stats import multivariate_normal
 from hmog import linear_gaussian as lg
 from hmog.families import DomainError, MultivariateNormal, Structure
 from hmog.harmonium import check_conjugation
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def random_lgm(rng, n, m, structure):
@@ -197,6 +200,51 @@ class TestEmStep:
             current = lg.lgm_mean_log_likelihood(model, data)
             assert current >= previous - 1e-9
             previous = current
+
+
+class TestMomentPass:
+    @pytest.mark.parametrize(
+        "structure", [Structure.ISOTROPIC, Structure.DIAGONAL, Structure.FULL]
+    )
+    def test_mean_log_likelihood_matches_per_point(self, structure):
+        """The moment form equals the mean of the per-point log-densities."""
+        rng = np.random.default_rng(21)
+        truth, _ = random_lgm(rng, 5, 2, structure)
+        data, _ = lg.lgm_sample(truth, 400, rng)
+        model, _ = random_lgm(rng, 5, 2, structure)
+        for candidate in (model, lg.lgm_em_step(model, data)):
+            per_point = float(np.mean(lg.lgm_log_densities(candidate, data)))
+            moment = lg.lgm_mean_log_likelihood(candidate, data)
+            assert abs(moment - per_point) <= 1e-12 * max(1.0, abs(per_point))
+
+    @pytest.mark.parametrize(
+        "structure", [Structure.ISOTROPIC, Structure.DIAGONAL, Structure.FULL]
+    )
+    def test_offset_data_matches_dense_marginal(self, structure):
+        """On Iris shifted by +1e3, both forms match the dense marginal density."""
+        iris = np.loadtxt(
+            DATA_DIR / "iris.csv", delimiter=",", skiprows=1, usecols=range(4)
+        )
+        data = iris + 1e3
+        noise = {
+            Structure.ISOTROPIC: 0.5,
+            Structure.DIAGONAL: np.full(4, 0.5),
+            Structure.FULL: 0.5 * np.eye(4),
+        }[structure]
+        loading = np.random.default_rng(22).normal(size=(4, 2)) * 0.3
+        model = lg.lgm_from_standard(data.mean(axis=0), noise, loading, structure)
+        for _ in range(20):
+            model = lg.lgm_em_step(model, data)
+        joint, theta = lg.lgm_joint_params(model)
+        mean, cov = joint.to_mean_cov(theta)
+        dense = float(np.mean(multivariate_normal.logpdf(data, mean[:4], cov[:4, :4])))
+        assert abs(lg.lgm_mean_log_likelihood(model, data) - dense) <= 1e-7
+        assert abs(float(np.mean(lg.lgm_log_densities(model, data))) - dense) <= 1e-7
+
+    def test_empty_data_rejected(self):
+        model, _ = random_lgm(np.random.default_rng(24), 3, 1, Structure.DIAGONAL)
+        with pytest.raises(ValueError, match="nonempty"):
+            lg.lgm_em_step(model, np.zeros((0, 3)))
 
 
 class TestProjection:

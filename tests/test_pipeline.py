@@ -9,6 +9,7 @@ import pytest
 from hmog import hierarchical as hh
 from hmog import linear_gaussian as lg
 from hmog import mixture as mx
+from hmog import pipeline as pl
 from hmog.families import DomainError, Structure
 from hmog.optim import AdamConfig
 from hmog.pipeline import (
@@ -243,6 +244,46 @@ class TestFitTwoStage:
             assert abs(score - hh.hmog_mean_log_likelihood(model, data.points)) <= 1e-12
             per_point = float(np.mean(hh.hmog_log_densities(model, data.points)))
             assert abs(score - per_point) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["two_stage_pca", "two_stage_fa"])
+    def test_stage_one_scores_match_per_point_replay(self, synthetic_data, method):
+        """Stage 1 on shared moments replays per-point `lgm_em_step` and scoring."""
+        _, data = synthetic_data
+        cfg = small_cfg(
+            method, latent_dim=2, stage1_iters=15, stage2_iters=1, restarts=2
+        )
+        _, _, report = fit_two_stage(data, cfg)
+        lgm = init_lgm(data.points, 2, cfg.structure, cfg.seed + report.restart_index)
+        for score in report.stages[0].log_likelihoods:
+            lgm = lg.lgm_em_step(lgm, data.points)
+            per_point = float(np.mean(lg.lgm_log_densities(lgm, data.points)))
+            assert abs(score - per_point) <= 1e-12 * abs(per_point)
+
+    @pytest.mark.parametrize("method", ["two_stage_fa", "hmog_pca"])
+    def test_moments_computed_once_per_fit(self, synthetic_data, monkeypatch, method):
+        _, data = synthetic_data
+        calls = []
+        original = lg.data_moments
+
+        def counting(obs, xs):
+            calls.append(len(xs))
+            return original(obs, xs)
+
+        monkeypatch.setattr(pl, "data_moments", counting)
+        monkeypatch.setattr(lg, "data_moments", counting)
+        fit_model(data, small_cfg(method, restarts=3))
+        assert calls == [len(data)]
+
+    @pytest.mark.parametrize("method", ["two_stage_pca", "hmog_fa"])
+    def test_zero_variance_fails_before_restarts(self, monkeypatch, method):
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(60, 3))
+        points[:, 1] = 2.5
+        restarts = []
+        monkeypatch.setattr(pl, "_two_stage_single", lambda *a: restarts.append(a))
+        with pytest.raises(DomainError, match="^zero-variance coordinate 1$"):
+            fit_model(points, small_cfg(method, restarts=3))
+        assert restarts == []
 
     def test_deterministic_report(self, synthetic_data):
         _, data = synthetic_data
