@@ -332,8 +332,9 @@ def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianMode
 
     `lgm_moment_pass` on the data's moments gives the averaged statistics
     ``(mean s_X(x), mean s_Y, mean x mu^T)``; the structure-projected
-    backward mapping turns them into the next model. A run of steps on
-    fixed data computes the moments once and repeats the pass instead.
+    backward mapping turns them into the next model. Forming the moments
+    costs O(N n^2) time and O(N n) memory per call; a run of steps on fixed
+    data computes them once and repeats the pass instead.
     """
     target = lgm_moment_pass(model, data_moments(model.obs, data)).target
     return lgm_backward(model.obs, model.lat, *target)
@@ -381,8 +382,14 @@ def lgm_observable_log_density(model: LinearGaussianModel, x: NDArray) -> float:
 
 
 def lgm_mean_log_likelihood(model: LinearGaussianModel, xs: NDArray) -> float:
-    """Mean observable log-density: `lgm_moment_pass` on the moments of ``xs``."""
-    return lgm_moment_pass(model, data_moments(model.obs, xs)).mean_log_likelihood
+    """Mean observable log-density of the rows of ``xs``, O(N n m).
+
+    A run of scores on fixed data takes `lgm_moment_pass` on moments
+    computed once instead.
+    """
+    if len(xs) == 0:
+        raise ValueError("the mean log-likelihood needs a nonempty dataset")
+    return float(np.mean(lgm_log_densities(model, xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -205,11 +205,22 @@ def mixture_backward(
                     f"component {idx + 1} covariance is not positive-definite"
                 ) from None
             naturals[idx] = lat.from_mean_cov(mu, sigma + jitter * np.eye(lat.dim))
+    return _mixture_from_naturals(lat, naturals, eta_z)
 
+
+def _mixture_from_naturals(
+    lat: MultivariateNormal, naturals: NDArray, eta_z: NDArray
+) -> MixtureModel:
+    """The mixture of stacked component naturals with weights ``eta_z`` of 2..k.
+
+    The categorical parameters solve the conjugation equation of a
+    candidate with the same components and zero categorical parameters.
+    """
     base = naturals[0]
     interaction = (naturals[1:] - base).T
     candidate = MixtureModel(
-        lat=lat, base_params=base, cat_params=np.zeros(k - 1), interaction=interaction
+        lat=lat, base_params=base, cat_params=np.zeros(len(naturals) - 1),
+        interaction=interaction,
     )
     conj = mixture_conjugation_parameters(candidate)
     cat_params = candidate.cat.to_natural(eta_z) - conj.rho
@@ -470,16 +481,7 @@ def mog_from_standard(
     naturals = np.stack(
         [lat.from_mean_cov(means[idx], covariances[idx]) for idx in range(k)]
     )
-    base = naturals[0]
-    interaction = (naturals[1:] - base).T
-    candidate = MixtureModel(
-        lat=lat, base_params=base, cat_params=np.zeros(k - 1), interaction=interaction
-    )
-    conj = mixture_conjugation_parameters(candidate)
-    cat_params = candidate.cat.to_natural(mix_weights[1:]) - conj.rho
-    return MixtureModel(
-        lat=lat, base_params=base, cat_params=cat_params, interaction=interaction
-    )
+    return _mixture_from_naturals(lat, naturals, mix_weights[1:])
 
 
 def mog_to_standard(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:

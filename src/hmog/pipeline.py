@@ -7,15 +7,24 @@ step is the exact closed form. Every reported log-likelihood is the
 observable density of the assembled hierarchical model, so trajectories
 and cross-validation scores are directly comparable across methods.
 
-Each fit computes the data's mean, centred covariance and mean observable
-statistic once (`linear_gaussian.data_moments`), rejects a zero-variance
-coordinate there, and shares them with every restart. Stage 1 runs on
-those moments alone: one `lgm_moment_pass` per step scores the current
-model and yields the next E-step target. Stage 2 keeps the likelihood
-model fixed, so each restart computes the feature shifts and the
-statistics of the projections once and scores every mixture step through
-the posterior kernel; unified EM carries each iteration's fused posterior
-pass into the next.
+All four methods run one restart loop. Each fit computes the data's mean,
+centred covariance and mean observable statistic once
+(`linear_gaussian.data_moments`) and rejects a zero-variance coordinate
+there, before any restart. Restart ``r`` runs a two-stage fit on seed
+``cfg.seed + r`` from those shared moments; a unified method continues
+its assembled model with ``cfg.hmog_iters`` EM iterations. The restart
+with the strictly greatest final train log-likelihood wins, so ties go to
+the lowest index. A DomainError in stage 1, stage 2 or unified EM (a
+restart that collapses onto a degenerate mixture) skips that restart; any
+other error, such as a ValueError, propagates. When every restart fails,
+the fit raises ``DomainError("all N restarts failed; last error: ...")``.
+
+Stage 1 runs on those moments alone: one `lgm_moment_pass` per step
+scores the current model and yields the next E-step target. Stage 2 keeps
+the likelihood model fixed, so each restart computes the feature shifts
+and the statistics of the projections once and scores every mixture step
+through the posterior kernel; unified EM carries each iteration's fused
+posterior pass into the next.
 
 All randomness flows through explicitly seeded generators; identical
 inputs produce identical reports and identical serialized artifacts.
@@ -451,12 +460,13 @@ def _fit_moments(points: NDArray, cfg: FitConfig) -> DataMoments:
 
 def _two_stage_single(
     data: NDArray, cfg: FitConfig, seed: int, moments: DataMoments
-) -> tuple[LinearGaussianModel, MixtureModel, list[float], list[float]]:
+) -> tuple[LinearGaussianModel, MixtureModel, Hmog, list[float], list[float]]:
     """One two-stage restart; trajectories are assembled-model likelihoods.
 
     Stage 1 runs on the moments of ``data`` alone: each step is one
     `lgm_moment_pass`, which scores the current model and yields the next
-    step's target.
+    step's target. The assembled model returned is the one that scored
+    the last stage-2 entry.
     """
     lgm = _initial_lgm(
         moments.mean, np.diag(moments.covariance), cfg.latent_dim, cfg.structure, seed
@@ -488,7 +498,59 @@ def _two_stage_single(
             )
     except DomainError as exc:
         raise DomainError(f"stage 2 EM failed: {exc}") from exc
-    return lgm, mog, stage1, stage2
+    return lgm, mog, model, stage1, stage2
+
+
+def _points(data: Dataset | NDArray) -> NDArray:
+    return data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+
+
+def _fit(
+    data: Dataset | NDArray, cfg: FitConfig, unified: bool
+) -> tuple[LinearGaussianModel, MixtureModel, Hmog, FitReport]:
+    """The restart loop of every method (see the module docstring).
+
+    Returns the winning restart's two-stage pair, its final assembled
+    model (after unified EM when ``unified``) and the report.
+    """
+    points = _points(data)
+    start = time.perf_counter()
+    moments = _fit_moments(points, cfg)
+    best = None
+    failure: Exception | None = None
+    for restart in range(cfg.restarts):
+        try:
+            lgm, mog, model, *stages = _two_stage_single(
+                points, cfg, cfg.seed + restart, moments
+            )
+            if unified:
+                stages.append([])
+                current = None
+                for _ in range(cfg.hmog_iters):
+                    model, diag = hmog_em_iteration(model, points, posterior_pass=current)
+                    current = diag.posterior_pass
+                    stages[-1].append(diag.log_likelihood_after)
+        except DomainError as exc:
+            # A restart that walks into a degenerate attractor (component
+            # collapse) is a failed local attempt; keep the survivors.
+            failure = exc
+            continue
+        final = (stages[-1] or stages[-2])[-1]  # stage 2 is never empty
+        if best is None or final > best[0]:
+            best = (final, restart, lgm, mog, model, stages)
+    if best is None:
+        raise DomainError(f"all {cfg.restarts} restarts failed; last error: {failure}")
+    final, restart, lgm, mog, model, stages = best
+    return lgm, mog, model, FitReport(
+        method=cfg.method, latent_dim=cfg.latent_dim, clusters=cfg.clusters,
+        seed=cfg.seed, restart_index=restart,
+        wall_time_s=time.perf_counter() - start,
+        stages=tuple(
+            StageTrace(name, tuple(values))
+            for name, values in zip(("stage1", "stage2", "unified"), stages)
+        ),
+        final_train_log_likelihood=final,
+    )
 
 
 def fit_two_stage(
@@ -496,108 +558,31 @@ def fit_two_stage(
 ) -> tuple[LinearGaussianModel, MixtureModel, FitReport]:
     """Two-stage training: likelihood model EM, project, mixture EM.
 
-    Runs ``cfg.restarts`` independent restarts on seeds ``seed, seed + 1,
-    ...`` and keeps the one with the highest final assembled train
-    log-likelihood (lowest restart index on ties). Stage-1 entries score
-    the likelihood model itself (its own feature prior); stage-2 entries
-    score the assembled hierarchical model after each mixture step.
+    Stage-1 entries score the likelihood model itself (its own feature
+    prior); stage-2 entries score the assembled hierarchical model after
+    each mixture step.
     """
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    start = time.perf_counter()
-    moments = _fit_moments(points, cfg)
-    best = None
-    failure: Exception | None = None
-    for restart in range(cfg.restarts):
-        try:
-            lgm, mog, stage1, stage2 = _two_stage_single(
-                points, cfg, cfg.seed + restart, moments
-            )
-        except DomainError as exc:
-            # A restart that walks into a degenerate attractor (component
-            # collapse) is a failed local attempt; keep the survivors.
-            failure = exc
-            continue
-        final = stage2[-1]
-        if best is None or final > best[0]:
-            best = (final, restart, lgm, mog, stage1, stage2)
-    if best is None:
-        raise DomainError(f"all {cfg.restarts} restarts failed; last error: {failure}")
-    final, restart, lgm, mog, stage1, stage2 = best
-    report = FitReport(
-        method=cfg.method,
-        latent_dim=cfg.latent_dim,
-        clusters=cfg.clusters,
-        seed=cfg.seed,
-        restart_index=restart,
-        wall_time_s=time.perf_counter() - start,
-        stages=(
-            StageTrace("stage1", tuple(stage1)),
-            StageTrace("stage2", tuple(stage2)),
-        ),
-        final_train_log_likelihood=final,
-    )
+    lgm, mog, _, report = _fit(data, cfg, unified=False)
     return lgm, mog, report
 
 
 def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     """Unified training: two-stage initialization, then joint EM.
 
-    Each restart initializes by a full two-stage fit on its own seed,
-    assembles the hierarchical model, and runs ``cfg.hmog_iters`` EM
-    iterations with the exact closed-form maximization step; the final
-    train log-likelihood never falls below the two-stage value. Each
-    iteration hands its fused posterior pass to the next, so an iteration
-    scores the data once.
+    Each restart continues its assembled two-stage model with
+    ``cfg.hmog_iters`` EM iterations whose maximization step is exact, so
+    the final train log-likelihood never falls below the two-stage value.
+    Each iteration hands its fused posterior pass to the next, so an
+    iteration scores the data once.
     """
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    start = time.perf_counter()
-    moments = _fit_moments(points, cfg)
-    best = None
-    failure: Exception | None = None
-    for restart in range(cfg.restarts):
-        try:
-            lgm, mog, stage1, stage2 = _two_stage_single(
-                points, cfg, cfg.seed + restart, moments
-            )
-            model = assemble_hmog(lgm, mog)
-            unified = []
-            current = None
-            for _ in range(cfg.hmog_iters):
-                model, diag = hmog_em_iteration(model, points, posterior_pass=current)
-                current = diag.posterior_pass
-                unified.append(diag.log_likelihood_after)
-        except DomainError as exc:
-            failure = exc
-            continue
-        final = unified[-1] if unified else stage2[-1]
-        if best is None or final > best[0]:
-            best = (final, restart, model, stage1, stage2, unified)
-    if best is None:
-        raise DomainError(f"all {cfg.restarts} restarts failed; last error: {failure}")
-    final, restart, model, stage1, stage2, unified = best
-    report = FitReport(
-        method=cfg.method,
-        latent_dim=cfg.latent_dim,
-        clusters=cfg.clusters,
-        seed=cfg.seed,
-        restart_index=restart,
-        wall_time_s=time.perf_counter() - start,
-        stages=(
-            StageTrace("stage1", tuple(stage1)),
-            StageTrace("stage2", tuple(stage2)),
-            StageTrace("unified", tuple(unified)),
-        ),
-        final_train_log_likelihood=final,
-    )
+    _, _, model, report = _fit(data, cfg, unified=True)
     return model, report
 
 
 def fit_model(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     """Fit by any method, always returning the assembled hierarchical model."""
-    if cfg.unified:
-        return fit_hmog(data, cfg)
-    lgm, mog, report = fit_two_stage(data, cfg)
-    return assemble_hmog(lgm, mog), report
+    _, _, model, report = _fit(data, cfg, cfg.unified)
+    return model, report
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +602,9 @@ def cross_validate(
     out exactly once. Each grid cell refits with its own deterministic
     seed offset and scores the held-out fold through the assembled model.
     """
-    points = data.points if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    points = _points(data)
     if len(points) < folds:
         raise ValueError("need at least as many samples as folds")
     if grid is None:
@@ -651,14 +638,12 @@ def cross_validate(
     return CvReport(method=cfg.method, folds=folds, seed=cfg.seed, cells=tuple(cells))
 
 
-def _assignments(model, points: NDArray) -> NDArray:
-    """Hard cluster assignments (1-based) for either model flavor."""
+def _posteriors(model, points: NDArray) -> NDArray:
+    """Cluster posteriors, one column per cluster, for either model flavor."""
     if isinstance(model, Hmog):
-        posteriors = hmog_classify_batch(model, points)
-    else:
-        lgm, mog = model
-        posteriors = mog_posteriors(mog, lgm_project_batch(lgm, points))
-    return np.argmax(posteriors, axis=1) + 1
+        return hmog_classify_batch(model, points)
+    lgm, mog = model
+    return mog_posteriors(mog, lgm_project_batch(lgm, points))
 
 
 def score_classification(
@@ -674,8 +659,10 @@ def score_classification(
     project, then index posterior). Each cluster is assigned its majority
     training label; with ``multi_label_clusters`` the direction flips and
     each label is assigned its best-covering cluster, so one cluster may
-    represent several labels. Accuracy is evaluated on ``test`` (defaults
-    to the training data).
+    represent several labels. A cluster (or, with ``multi_label_clusters``,
+    a label) without training points has no match, so its test points
+    count as misclassified. Accuracy is evaluated on ``test`` (defaults to
+    the training data).
     """
     if train.labels is None:
         raise ValueError("training data has no labels")
@@ -683,20 +670,18 @@ def score_classification(
     if test.labels is None:
         raise ValueError("test data has no labels")
 
-    train_clusters = _assignments(model, train.points)
-    num_clusters = int(train_clusters.max())
+    posteriors = _posteriors(model, train.points)
     num_labels = int(max(train.labels.max(), test.labels.max()))
-    counts = np.zeros((num_clusters, num_labels), dtype=int)
-    for cluster, label in zip(train_clusters, train.labels):
-        counts[cluster - 1, label - 1] += 1
+    counts = np.zeros((posteriors.shape[1], num_labels), dtype=int)
+    np.add.at(counts, (np.argmax(posteriors, axis=1), train.labels - 1), 1)
 
-    test_clusters = _assignments(model, test.points)
+    test_clusters = np.argmax(_posteriors(model, test.points), axis=1)
+    # Cluster -1 and label 0 match nothing.
     if multi_label_clusters:
-        cluster_of_label = np.argmax(counts, axis=0) + 1
-        predicted_ok = test_clusters == cluster_of_label[test.labels - 1]
-        return float(np.mean(predicted_ok))
-    label_of_cluster = np.argmax(counts, axis=1) + 1
-    return float(np.mean(label_of_cluster[test_clusters - 1] == test.labels))
+        cluster_of_label = np.where(counts.any(axis=0), np.argmax(counts, axis=0), -1)
+        return float(np.mean(test_clusters == cluster_of_label[test.labels - 1]))
+    label_of_cluster = np.where(counts.any(axis=1), np.argmax(counts, axis=1) + 1, 0)
+    return float(np.mean(label_of_cluster[test_clusters] == test.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -159,3 +159,13 @@ class TestCv:
                 "--grid", "nonsense", "--seed", "3",
                 "--out", str(tmp_path / "cv.csv"),
             ])
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_fewer_than_two_folds_rejected(self, synth_csv, tmp_path, folds):
+        with pytest.raises(ValueError, match=f"^folds must be at least 2, got {folds}$"):
+            main([
+                "cv", "--input", str(synth_csv), "--method", "two-stage-pca",
+                "--grid", "1:2", "--folds", folds, "--seed", "3",
+                "--out", str(tmp_path / "cv.csv"),
+            ])
+        assert not (tmp_path / "cv.csv").exists()

@@ -1,6 +1,7 @@
 """Training pipeline: data handling, drivers, cross-validation, reports."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,7 @@ class TestFitHmog:
         assert report.final_train_log_likelihood == pytest.approx(
             ts_report.final_train_log_likelihood, abs=1e-12
         )
+        assert report.stages[2] == pl.StageTrace("unified", ())
 
     def test_final_at_least_two_stage(self, synthetic_data):
         _, data = synthetic_data
@@ -334,6 +336,102 @@ class TestFitHmog:
         assert report_to_dict(legacy) == report_to_dict(plain)
 
 
+def _fail_in_restarts(monkeypatch, name, seeds, error=DomainError):
+    """Make the pipeline's ``name`` raise ``error`` in the restarts on ``seeds``."""
+    single, target = pl._two_stage_single, getattr(pl, name)
+    restart_seed = []
+
+    def tracking(data, cfg, seed, moments):
+        restart_seed.append(seed)
+        return single(data, cfg, seed, moments)
+
+    def failing(*args, **kwargs):
+        if restart_seed[-1] in seeds:
+            raise error("injected")
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(pl, "_two_stage_single", tracking)
+    monkeypatch.setattr(pl, name, failing)
+
+
+STAGE2_STEP = "mog_em_step_from_statistics"
+
+
+class TestRestartLoop:
+    @pytest.mark.parametrize(
+        "method, name",
+        [("two_stage_fa", STAGE2_STEP), ("hmog_fa", STAGE2_STEP),
+         ("hmog_fa", "hmog_em_iteration")],
+    )
+    def test_failed_restart_skipped(self, synthetic_data, monkeypatch, method, name):
+        _, data = synthetic_data
+        cfg = small_cfg(method, clusters=3, restarts=3)
+        finals = [
+            fit_model(data, replace(cfg, seed=r, restarts=1))[1]
+            .final_train_log_likelihood
+            for r in range(3)
+        ]
+        _fail_in_restarts(monkeypatch, name, seeds=[0])
+        _, report = fit_model(data, cfg)
+        assert report.restart_index == 1 + int(np.argmax(finals[1:]))
+        assert report.final_train_log_likelihood == max(finals[1:])
+
+    @pytest.mark.parametrize(
+        "method, name, error",
+        [("two_stage_pca", STAGE2_STEP, "stage 2 EM failed: injected"),
+         ("hmog_pca", "hmog_em_iteration", "injected")],
+    )
+    def test_all_restarts_failed(self, synthetic_data, monkeypatch, method, name, error):
+        _, data = synthetic_data
+        _fail_in_restarts(monkeypatch, name, seeds=[0, 1])
+        with pytest.raises(
+            DomainError, match=f"^all 2 restarts failed; last error: {error}$"
+        ):
+            fit_model(data, small_cfg(method, restarts=2))
+
+    @pytest.mark.parametrize("name", [STAGE2_STEP, "hmog_em_iteration"])
+    def test_value_error_propagates(self, synthetic_data, monkeypatch, name):
+        _, data = synthetic_data
+        _fail_in_restarts(monkeypatch, name, seeds=[0], error=ValueError)
+        with pytest.raises(ValueError, match="^injected$"):
+            fit_model(data, small_cfg("hmog_pca", restarts=2))
+
+    @pytest.mark.parametrize("method", ["two_stage_pca", "hmog_pca"])
+    def test_tie_goes_to_lowest_restart(self, synthetic_data, monkeypatch, method):
+        _, data = synthetic_data
+        single = pl._two_stage_single
+
+        def same_seed(data, cfg, seed, moments):
+            return single(data, cfg, 0, moments)
+
+        monkeypatch.setattr(pl, "_two_stage_single", same_seed)
+        _, report = fit_model(data, small_cfg(method, restarts=3))
+        assert report.restart_index == 0
+
+    @pytest.mark.parametrize("method", pl.METHODS)
+    def test_one_two_stage_run_per_restart(self, synthetic_data, monkeypatch, method):
+        _, data = synthetic_data
+        single, iteration = pl._two_stage_single, pl.hmog_em_iteration
+        seeds, iterations = [], []
+
+        def counting_single(data, cfg, seed, moments):
+            seeds.append(seed)
+            return single(data, cfg, seed, moments)
+
+        def counting_iteration(*args, **kwargs):
+            iterations.append(1)
+            return iteration(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "_two_stage_single", counting_single)
+        monkeypatch.setattr(pl, "hmog_em_iteration", counting_iteration)
+        cfg = small_cfg(method, restarts=3, seed=7)
+        _, report = fit_model(data, cfg)
+        assert seeds == [7, 8, 9]
+        assert len(iterations) == (3 * cfg.hmog_iters if cfg.unified else 0)
+        names = ["stage1", "stage2"] + (["unified"] if cfg.unified else [])
+        assert [stage.name for stage in report.stages] == names
+
+
 class TestCrossValidate:
     def test_folds_partition_data(self, synthetic_data):
         _, data = synthetic_data
@@ -355,6 +453,13 @@ class TestCrossValidate:
         cell = report.cells[0]
         spread = max(cell.fold_scores) - min(cell.fold_scores)
         assert spread < 6 * cell.std + 1e-9
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_rejects_fewer_than_two_folds(self, synthetic_data, monkeypatch, folds):
+        _, data = synthetic_data
+        monkeypatch.setattr(pl, "_fit", lambda *a: pytest.fail("fit before the check"))
+        with pytest.raises(ValueError, match=f"^folds must be at least 2, got {folds}$"):
+            cross_validate(data, small_cfg("two_stage_pca"), folds=folds)
 
     def test_rejects_fold_smaller_than_clusters(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 2)))
@@ -403,6 +508,29 @@ class TestScoreClassification:
         plain = score_classification(truth, data)
         multi = score_classification(truth, data, multi_label_clusters=True)
         assert multi >= plain - 1e-12
+
+    def test_cluster_or_label_without_training_points_misclassifies(self):
+        """Cluster 3 and label 3 get no training point, so they match nothing.
+
+        The points sit at the three cluster centres (-5, 0, 5 on the first
+        axis). Training: cluster 1 holds labels {1, 1} and cluster 2 holds
+        {2, 2, 1}; cluster 3 is empty. So cluster 1 means label 1 and
+        cluster 2 label 2, and in the flipped direction label 1 is covered
+        best by cluster 1 and label 2 by cluster 2; label 3 has no cluster.
+        Of the test points (cluster, label) (1, 1), (2, 2), (2, 1), (3, 3),
+        (3, 1) and (1, 3), only the first two are right in either mode:
+        accuracy 2/6.
+        """
+        truth = default_synthetic_hmog(3, 1, 2)
+        centres = np.array([[-5.0, -0.25], [0.0, 0.0], [5.0, 0.25]])
+        np.testing.assert_array_equal(
+            np.argmax(hh.hmog_classify_batch(truth, centres), axis=1), [0, 1, 2]
+        )
+        train = Dataset(centres[[0, 0, 1, 1, 1]], np.array([1, 1, 2, 2, 1]))
+        test = Dataset(centres[[0, 1, 1, 2, 2, 0]], np.array([1, 2, 1, 3, 1, 3]))
+        for multi in (False, True):
+            accuracy = score_classification(truth, train, test, multi_label_clusters=multi)
+            assert accuracy == pytest.approx(2 / 6)
 
     def test_requires_labels(self, synthetic_data):
         truth, data = synthetic_data
