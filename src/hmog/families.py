@@ -17,6 +17,12 @@ correct bilinear forms: natural vectors store off-diagonal entries of
 product ``x_i x_j`` once. Hence ``dot(s(x), theta) = x . theta_mu +
 x . Theta . x`` exactly, and the gradient of the log-partition function in
 these coordinates is exactly the flat mean vector.
+
+This module alone knows the packed layout. For FULL structure the helpers
+``split_natural``, ``split_mean``, ``join_natural``, ``join_mean`` and
+``from_mean_cov`` also take stacks, one row per component: flat vectors
+``(k, param_dim)`` against first-order blocks ``(k, dim)`` and matrices
+``(k, dim, dim)``. Each row is converted as it would be on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_solve, cholesky
-from scipy.special import logsumexp
 
 __all__ = [
     "Structure",
@@ -71,6 +76,22 @@ def _chol_lower(matrix: NDArray, context: str) -> NDArray:
         return cholesky(matrix, lower=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise DomainError(f"{context}: matrix is not positive-definite") from exc
+
+
+def _spd_inverse(matrix: NDArray, context: str) -> NDArray:
+    """Inverses ``L^{-T} L^{-1}`` of positive-definite matrices ``(..., n, n)``.
+
+    numpy's Cholesky lets non-finite entries through; they are rejected
+    first, as an indefinite matrix would be.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise DomainError(f"{context}: matrix is not positive-definite")
+    try:
+        lower = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"{context}: matrix is not positive-definite") from exc
+    inv_lower = np.linalg.inv(lower)
+    return np.swapaxes(inv_lower, -1, -2) @ inv_lower
 
 
 def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
@@ -134,15 +155,13 @@ class Categorical:
         return 0.0
 
     def log_partition(self, theta: NDArray) -> float:
-        """log(1 + sum_i exp(theta_i)), computed via log-sum-exp."""
+        """log(1 + sum_i exp(theta_i)), the one-row `log_partition_batch`."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.param_dim,):
             raise ValueError(f"expected {self.param_dim} natural parameters")
         if not np.all(np.isfinite(theta)):
             raise DomainError("non-finite categorical natural parameters")
-        if theta.size == 0:
-            return 0.0
-        return float(logsumexp(np.concatenate([[0.0], theta])))
+        return float(self.log_partition_batch(theta[None, :])[0])
 
     def _padded(self, thetas: NDArray) -> NDArray:
         """Logits of all categories: the reference category's is zero."""
@@ -232,6 +251,23 @@ class MultivariateNormal:
 
     # -- packing -----------------------------------------------------------
 
+    def _vectors(self, vec: NDArray, length: int, what: str) -> NDArray:
+        """``vec`` as floats: one vector of ``length``, or a stack (FULL only)."""
+        vec = np.asarray(vec, dtype=float)
+        ranks = (1, 2) if self.structure is Structure.FULL else (1,)
+        if vec.ndim not in ranks or vec.shape[-1] != length:
+            raise ValueError(f"expected {what} of length {length}, got {vec.shape}")
+        return vec
+
+    def _unpack(self, packed: NDArray) -> NDArray:
+        """Dense symmetric matrices from packed lower triangles (FULL)."""
+        n = self.dim
+        rows, cols = _tril_rows_cols(n)
+        mat = np.empty(packed.shape[:-1] + (n, n))
+        mat[..., rows, cols] = packed
+        mat[..., cols, rows] = packed
+        return mat
+
     def split_natural(self, theta: NDArray) -> tuple[NDArray, NDArray]:
         """Split a flat natural vector into ``(theta_mu, Theta)``.
 
@@ -239,20 +275,13 @@ class MultivariateNormal:
         structure; stored off-diagonal entries are halved on the way out so
         that the matrix satisfies ``x . Theta . x = dot(s_2(x), theta_2)``.
         """
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.param_dim,):
-            raise ValueError(
-                f"expected natural vector of length {self.param_dim}, got {theta.shape}"
-            )
+        theta = self._vectors(theta, self.param_dim, "natural vector")
         n = self.dim
-        first = theta[:n].copy()
-        packed = theta[n:]
+        first = theta[..., :n].copy()
+        packed = theta[..., n:]
         if self.structure is Structure.FULL:
-            mat = np.zeros((n, n))
             rows, cols = _tril_rows_cols(n)
-            off = rows != cols
-            mat[rows, cols] = np.where(off, 0.5 * packed, packed)
-            mat = mat + np.tril(mat, -1).T
+            mat = self._unpack(np.where(rows != cols, 0.5 * packed, packed))
         elif self.structure is Structure.DIAGONAL:
             mat = np.diag(packed)
         else:
@@ -265,20 +294,17 @@ class MultivariateNormal:
         ``second`` may be the dense symmetric matrix, a diagonal vector
         (DIAGONAL), or a scalar (ISOTROPIC).
         """
-        first = np.asarray(first, dtype=float)
-        if first.shape != (self.dim,):
-            raise ValueError(f"expected first-order block of length {self.dim}")
+        first = self._vectors(first, self.dim, "first-order block")
         second = np.asarray(second, dtype=float)
-        n = self.dim
         if self.structure is Structure.FULL:
-            rows, cols = _tril_rows_cols(n)
-            off = rows != cols
-            packed = np.where(off, 2.0 * second[rows, cols], second[rows, cols])
+            rows, cols = _tril_rows_cols(self.dim)
+            tri = second[..., rows, cols]
+            packed = np.where(rows != cols, 2.0 * tri, tri)
         elif self.structure is Structure.DIAGONAL:
             packed = np.diag(second) if second.ndim == 2 else second
         else:
             packed = np.atleast_1d(second[0, 0] if second.ndim == 2 else second)
-        return np.concatenate([first, packed])
+        return np.concatenate([first, packed], axis=-1)
 
     def split_mean(self, eta: NDArray) -> tuple[NDArray, NDArray]:
         """Split a flat mean vector into ``(E[x], second moments)``.
@@ -287,30 +313,22 @@ class MultivariateNormal:
         the vector of ``E[x_i^2]`` for DIAGONAL, and the scalar
         ``E[sum_i x_i^2]`` for ISOTROPIC.
         """
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape != (self.param_dim,):
-            raise ValueError(
-                f"expected mean vector of length {self.param_dim}, got {eta.shape}"
-            )
+        eta = self._vectors(eta, self.param_dim, "mean vector")
         n = self.dim
-        first = eta[:n].copy()
-        packed = eta[n:]
+        first = eta[..., :n].copy()
+        packed = eta[..., n:]
         if self.structure is Structure.FULL:
-            mat = np.zeros((n, n))
-            rows, cols = _tril_rows_cols(n)
-            mat[rows, cols] = packed
-            mat = mat + np.tril(mat, -1).T
-            return first, mat
+            return first, self._unpack(packed)
         if self.structure is Structure.DIAGONAL:
             return first, packed.copy()
         return first, packed[0]
 
     def join_mean(self, first: NDArray, second) -> NDArray:
-        first = np.asarray(first, dtype=float)
+        first = self._vectors(first, self.dim, "first-order block")
         if self.structure is Structure.FULL:
-            second = np.asarray(second, dtype=float)
             rows, cols = _tril_rows_cols(self.dim)
-            return np.concatenate([first, second[rows, cols]])
+            second = np.asarray(second, dtype=float)[..., rows, cols]
+            return np.concatenate([first, second], axis=-1)
         if self.structure is Structure.DIAGONAL:
             second = np.asarray(second, dtype=float)
             if second.ndim == 2:
@@ -469,15 +487,11 @@ class MultivariateNormal:
     def to_natural(self, eta: NDArray) -> NDArray:
         """Backward mapping from flat mean coordinates."""
         mu, second = self.split_mean(eta)
-        n = self.dim
         if self.structure is Structure.FULL:
-            sigma = second - np.outer(mu, mu)
-            return self.from_mean_cov(mu, sigma)
+            return self.from_mean_cov(mu, second - np.outer(mu, mu))
         if self.structure is Structure.DIAGONAL:
-            var = second - mu**2
-            return self.from_mean_cov(mu, var)
-        var = (second - float(mu @ mu)) / n
-        return self.from_mean_cov(mu, var)
+            return self.from_mean_cov(mu, second - mu**2)
+        return self.from_mean_cov(mu, (second - float(mu @ mu)) / self.dim)
 
     # -- standard-form bridges ------------------------------------------------
 
@@ -486,17 +500,21 @@ class MultivariateNormal:
 
         ``sigma`` is a dense matrix for FULL structure, a variance vector
         for DIAGONAL, and a scalar variance for ISOTROPIC. ``theta_mu =
-        Sigma^-1 mu`` and ``Theta = -1/2 Sigma^-1``.
+        Sigma^-1 mu`` and ``Theta = -1/2 Sigma^-1``. FULL structure also
+        converts a stack, means ``(k, dim)`` with covariances ``(k, dim,
+        dim)``, in one pass; a non-finite or indefinite covariance anywhere
+        in it raises DomainError.
         """
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.dim,):
-            raise ValueError(f"expected mean of length {self.dim}")
+        mu = self._vectors(mu, self.dim, "mean")
         if self.structure is Structure.FULL:
             sigma = np.asarray(sigma, dtype=float)
-            lower = _chol_lower(sigma, "covariance")
-            precision_mu = cho_solve((lower, True), mu)
-            inv = cho_solve((lower, True), np.eye(self.dim))
-            return self.join_natural(precision_mu, -0.5 * inv)
+            if sigma.shape != mu.shape + (self.dim,):
+                raise ValueError(
+                    f"expected covariance of shape {mu.shape + (self.dim,)}, "
+                    f"got {sigma.shape}"
+                )
+            inv = _spd_inverse(sigma, "covariance")
+            return self.join_natural((inv @ mu[..., None])[..., 0], -0.5 * inv)
         if self.structure is Structure.DIAGONAL:
             var = np.asarray(sigma, dtype=float)
             if var.ndim == 2:
@@ -538,8 +556,5 @@ class MultivariateNormal:
         mu, cov = self.to_mean_cov(theta)
         noise = rng.standard_normal((size, self.dim))
         if self.structure is Structure.FULL:
-            lower = _chol_lower(cov, "covariance")
-            return mu + noise @ lower.T
-        if self.structure is Structure.DIAGONAL:
-            return mu + noise * np.sqrt(cov)
-        return mu + noise * math.sqrt(cov)
+            return mu + noise @ _chol_lower(cov, "covariance").T
+        return mu + noise * np.sqrt(cov)

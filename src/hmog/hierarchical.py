@@ -10,7 +10,11 @@ Everything reduces to two conjugation computations: the likelihood's
 Gaussian conjugation parameters turn the joint log-partition into a
 mixture log-partition, and the mixture's own conjugation parameters turn
 that into a categorical one. Densities, posteriors, the forward mapping,
-and the EM expectation step all follow from this double reduction.
+and the EM expectation step all follow from this double reduction. The
+forward mapping is the feature prior's forward mapping pushed through the
+conditional: `mixture.mixture_forward` of the prior gives the feature and
+cluster blocks, and `linear_gaussian.lgm_conditional_forward` maps its
+feature moments to the observable blocks.
 
 Each model is prepared once, on first use (`Hmog.prepared`): the feature
 prior and the feature posterior mixtures with their stacked component
@@ -45,13 +49,13 @@ from .families import Categorical, DomainError, MultivariateNormal, Structure
 from .linear_gaussian import (
     LinearGaussianModel,
     lgm_backward,
+    lgm_conditional_forward,
     lgm_conjugation_parameters,
-    lgm_forward,
 )
 from .mixture import (
     MixtureModel,
     mixture_backward,
-    mixture_conjugation_parameters,
+    mixture_forward,
     mixture_log_partition,
     mixture_posterior_stats,
     mog_sample,
@@ -197,16 +201,13 @@ class HmogEmDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _likelihood_lgm(h: Hmog, component: int | None = None) -> LinearGaussianModel:
-    """The embedded linear Gaussian model, optionally shifted to a component."""
-    lat_params = h.lat_params
-    if component is not None and component > 1:
-        lat_params = lat_params + h.lat_interaction[:, component - 2]
+def _likelihood_lgm(h: Hmog) -> LinearGaussianModel:
+    """The embedded linear Gaussian model."""
     return LinearGaussianModel(
         obs=h.obs,
         lat=h.lat,
         obs_params=h.obs_params,
-        lat_params=lat_params,
+        lat_params=h.lat_params,
         interaction=h.obs_interaction,
     )
 
@@ -335,6 +336,8 @@ def hmog_mean_log_likelihood_from_terms(
 
 def hmog_mean_log_likelihood(h: Hmog, xs: NDArray) -> float:
     xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise ValueError("the mean log-likelihood needs a nonempty dataset")
     return hmog_mean_log_likelihood_from_terms(
         h, xs @ h.obs_interaction, h.obs.mean_statistics(xs)
     )
@@ -463,29 +466,15 @@ def hmog_forward(
 ) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
     """Forward mapping to mean coordinates.
 
-    Component weights come from the categorical forward at the doubly
-    conjugated parameters; each component contributes its joint Gaussian
-    expectations, and the feature-cluster cross block stacks the weighted
-    per-component feature statistics.
+    The feature prior's forward mapping gives the feature, cluster and
+    feature-cluster blocks; the conditional p(x | y) maps its feature
+    moments to the observation and observation-feature blocks.
 
     Returns ``(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)``.
     """
-    prior = h.prepared.prior
-    conj = mixture_conjugation_parameters(prior)
-    w = h.cat.probabilities(h.cat_params + conj.rho)
-
-    eta_obs = np.zeros(h.obs.param_dim)
-    eta_lat = np.zeros(h.lat.param_dim)
-    cross_xy = np.zeros((h.obs.dim, h.lat.dim))
-    cross_yz = np.zeros_like(h.lat_interaction)
-    for z in range(1, h.num_clusters + 1):
-        ex, ey, cxy = lgm_forward(_likelihood_lgm(h, component=z))
-        eta_obs += w[z - 1] * ex
-        eta_lat += w[z - 1] * ey
-        cross_xy += w[z - 1] * cxy
-        if z > 1:
-            cross_yz[:, z - 2] = w[z - 1] * ey
-    return eta_obs, eta_lat, w[1:], cross_xy, cross_yz
+    eta_lat, eta_cat, cross_yz = mixture_forward(h.prepared.prior)
+    eta_obs, cross_xy = lgm_conditional_forward(_likelihood_lgm(h), eta_lat)
+    return eta_obs, eta_lat, eta_cat, cross_xy, cross_yz
 
 
 def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
@@ -499,6 +488,8 @@ def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
     feature-cluster blocks).
     """
     xs = np.asarray(xs, dtype=float)
+    if len(xs) == 0:
+        raise ValueError("the posterior pass needs a nonempty dataset")
     return _posterior_pass(h, xs, h.obs.mean_statistics(xs))
 
 

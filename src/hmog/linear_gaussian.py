@@ -40,6 +40,7 @@ __all__ = [
     "lgm_conjugation_parameters",
     "lgm_log_partition",
     "lgm_forward",
+    "lgm_conditional_forward",
     "lgm_backward",
     "lgm_em_step",
     "lgm_project",
@@ -131,54 +132,48 @@ def lgm_log_partition(model: LinearGaussianModel) -> float:
     return model.lat.log_partition(model.lat_params + conj.rho) + conj.rho0
 
 
-def _joint_scale(model: LinearGaussianModel):
-    """Factor the joint precision by block elimination.
+def lgm_conditional_forward(
+    model: LinearGaussianModel, eta_y: NDArray
+) -> tuple[NDArray, NDArray]:
+    """Push feature moments through the conditional p(x | y).
 
-    Returns the observable solver, ``A^{-1} W``, and the Cholesky factor
-    of the feature-block Schur complement ``S = C - W^T A^{-1} W``; these
-    three pieces drive the forward mapping, sampling, and the joint
-    log-partition without ever forming a dense ``(n + m)`` matrix for
-    structured observables.
+    The conditional is ``N(t + B y, A^{-1})``, ``A = -2 Theta_XX``,
+    ``t = A^{-1} theta_X``, ``B = A^{-1} W``. Feature moments ``eta_Y``
+    (mean ``mu_Y``, covariance ``S``) map to the observable blocks
+    ``(eta_X, H_XY)``: ``E[x] = t + B mu_Y``, ``H_XY = B S + E[x] mu_Y^T``
+    and ``Cov[x] = A^{-1} + B S B^T``, projected to the structure. The map
+    is affine in ``eta_Y``, so any feature prior, Gaussian or mixture, can
+    be pushed through it.
     """
-    obs_first, solve, _, covariance = model.obs._scale(
+    first, solve, _, covariance = model.obs._scale(
         model.obs_params, "observable natural parameters"
     )
-    lat_first, lat_second = model.lat.split_natural(model.lat_params)
-    c_mat = -2.0 * lat_second
-    a_inv_w = solve(model.interaction)
-    schur = c_mat - model.interaction.T @ a_inv_w
-    lower = _chol_lower(schur, "joint precision (feature block)")
-    return obs_first, lat_first, solve, covariance, a_inv_w, lower
+    mu_y, second_y = model.lat.split_mean(eta_y)
+    sigma_yy = second_y - np.outer(mu_y, mu_y)
+    loading = solve(model.interaction)
+    mu_x = solve(first) + loading @ mu_y
+    sigma_xy = loading @ sigma_yy
+    cross = sigma_xy + np.outer(mu_x, mu_y)
+    if model.obs.structure is Structure.FULL:
+        sigma_xx = covariance() + sigma_xy @ loading.T
+        return model.obs.join_mean(mu_x, sigma_xx + np.outer(mu_x, mu_x)), cross
+    var = covariance() + np.einsum("ij,ij->i", loading, sigma_xy)
+    if model.obs.structure is Structure.DIAGONAL:
+        return model.obs.join_mean(mu_x, var + mu_x**2), cross
+    return model.obs.join_mean(mu_x, float(np.sum(var) + mu_x @ mu_x)), cross
 
 
 def lgm_forward(
     model: LinearGaussianModel,
 ) -> tuple[NDArray, NDArray, NDArray]:
-    """Forward mapping to mean coordinates.
+    """Forward mapping to mean coordinates ``(eta_X, eta_Y, H_XY)``.
 
-    Returns ``(eta_X, eta_Y, H_XY)`` where the flat blocks are the
-    observable and feature sufficient-statistic expectations (observable
-    second moments projected to the structure) and ``H_XY = E[x (x) y]``.
+    ``eta_Y`` is the feature marginal at the conjugated prior ``theta_Y +
+    rho``; `lgm_conditional_forward` pushes it through the conditional.
     """
-    obs_first, lat_first, solve, covariance, a_inv_w, lower = _joint_scale(model)
-    n = model.obs.dim
-    t = solve(obs_first)
-    mu_y = cho_solve((lower, True), lat_first + model.interaction.T @ t)
-    mu_x = t + a_inv_w @ mu_y
-    sigma_yy = cho_solve((lower, True), np.eye(model.lat.dim))
-    sigma_xy = a_inv_w @ sigma_yy
-    cross = sigma_xy + np.outer(mu_x, mu_y)
-    eta_y = model.lat.join_mean(mu_y, sigma_yy + np.outer(mu_y, mu_y))
-
-    if model.obs.structure is Structure.FULL:
-        sigma_xx = covariance() + a_inv_w @ sigma_yy @ a_inv_w.T
-        eta_x = model.obs.join_mean(mu_x, sigma_xx + np.outer(mu_x, mu_x))
-    else:
-        var = covariance() + np.einsum("ij,ij->i", a_inv_w, a_inv_w @ sigma_yy)
-        if model.obs.structure is Structure.DIAGONAL:
-            eta_x = model.obs.join_mean(mu_x, var + mu_x**2)
-        else:
-            eta_x = model.obs.join_mean(mu_x, float(np.sum(var) + mu_x @ mu_x))
+    conj = lgm_conjugation_parameters(model)
+    eta_y = model.lat.to_mean(model.lat_params + conj.rho)
+    eta_x, cross = lgm_conditional_forward(model, eta_y)
     return eta_x, eta_y, cross
 
 

@@ -14,6 +14,12 @@ one product of the shifts with the stacked whitening maps, a max-shift
 log-sum-exp over the component logits, and, on request, the posterior
 feature means and the data-summed per-component statistics. The
 conjugation parameters are read off the same factors.
+
+Component conversions are stacked: the forward map and `mog_to_standard`
+read every component's mean and covariance off the prepared factors, and
+the backward map and `mog_from_standard` convert all components with one
+stacked `MultivariateNormal.from_mean_cov`. Only `mog_sample` and the
+jitter rescue of a failed conversion visit components one at a time.
 """
 
 from __future__ import annotations
@@ -159,13 +165,9 @@ def mixture_forward(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:
     scaled by its weight.
     """
     w = mixture_weights(model)
-    eta_z = w[1:]
-    comp_means = np.stack(
-        [model.lat.to_mean(model.component_params(z)) for z in range(1, model.num_components + 1)]
-    )
-    eta_y = w @ comp_means
-    cross = (comp_means[1:] * eta_z[:, None]).T
-    return eta_y, eta_z, cross
+    means, covs = _component_moments(model)
+    comp_means = model.lat.join_mean(means, covs + means[:, :, None] * means[:, None, :])
+    return w @ comp_means, w[1:], (comp_means[1:] * w[1:, None]).T
 
 
 def mixture_backward(
@@ -178,33 +180,38 @@ def mixture_backward(
     """Backward mapping from mean coordinates to a MixtureModel.
 
     Inverts `mixture_forward`: recovers component weights and
-    per-component moments, converts each component back to natural
-    parameters, and solves for the categorical parameters through the
-    conjugation equation. A component whose covariance loses
-    positive-definiteness raises DomainError naming the component; with
-    ``jitter > 0`` an additive ``jitter * I`` rescue is attempted first.
+    per-component moments, converts all components back to natural
+    parameters in one stacked call, and solves for the categorical
+    parameters through the conjugation equation. A component whose
+    covariance loses positive-definiteness raises DomainError naming the
+    first such component; with ``jitter > 0`` those components alone get
+    an additive ``jitter * I`` instead.
     """
     eta_z = np.asarray(eta_z, dtype=float)
     k = len(eta_z) + 1
     w1 = 1.0 - float(np.sum(eta_z))
     if w1 <= 0.0 or np.any(eta_z <= 0.0):
         raise DomainError("degenerate mixture weights in backward mapping")
-    comp_means = np.empty((k, lat.param_dim))
-    comp_means[0] = (eta_y - cross.sum(axis=1)) / w1
-    comp_means[1:] = (cross / eta_z).T
+    comp_means = np.vstack([(eta_y - cross.sum(axis=1)) / w1, (cross / eta_z).T])
 
-    naturals = np.empty_like(comp_means)
-    for idx in range(k):
-        mu, second = lat.split_mean(comp_means[idx])
-        sigma = second - np.outer(mu, mu)
-        try:
-            naturals[idx] = lat.from_mean_cov(mu, sigma)
-        except DomainError:
-            if jitter <= 0.0:
-                raise DomainError(
-                    f"component {idx + 1} covariance is not positive-definite"
-                ) from None
-            naturals[idx] = lat.from_mean_cov(mu, sigma + jitter * np.eye(lat.dim))
+    mu, second = lat.split_mean(comp_means)
+    sigma = second - mu[:, :, None] * mu[:, None, :]
+    try:
+        naturals = lat.from_mean_cov(mu, sigma)
+    except DomainError:
+        # Retry one component at a time, so healthy components come out as
+        # the stacked conversion gives them and only failures are jittered.
+        naturals = np.empty_like(comp_means)
+        for idx in range(k):
+            try:
+                naturals[idx] = lat.from_mean_cov(mu[idx], sigma[idx])
+            except DomainError:
+                if jitter <= 0.0:
+                    raise DomainError(
+                        f"component {idx + 1} covariance is not positive-definite"
+                    ) from None
+                jittered = sigma[idx] + jitter * np.eye(lat.dim)
+                naturals[idx] = lat.from_mean_cov(mu[idx], jittered)
     return _mixture_from_naturals(lat, naturals, eta_z)
 
 
@@ -259,18 +266,6 @@ class PreparedMixture:
     blocks: NDArray
 
 
-def _precision_stack(lat: MultivariateNormal, naturals: NDArray) -> NDArray:
-    """Dense precisions ``-2 Theta`` of stacked full-covariance natural vectors."""
-    m = lat.dim
-    rows, cols = np.tril_indices(m)
-    # Off-diagonal entries are stored doubled, so -2 Theta_ij = -packed.
-    packed = naturals[:, m:] * np.where(rows == cols, -2.0, -1.0)
-    precisions = np.empty((len(naturals), m, m))
-    precisions[:, rows, cols] = packed
-    precisions[:, cols, rows] = packed
-    return precisions
-
-
 def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
     """Factor every component precision with one stacked Cholesky.
 
@@ -282,7 +277,7 @@ def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
     naturals = np.vstack([model.base_params, model.base_params + model.interaction.T])
     if not (np.all(np.isfinite(naturals)) and np.all(np.isfinite(model.cat_params))):
         raise DomainError("non-finite mixture parameters")
-    precisions = _precision_stack(model.lat, naturals)
+    precisions = -2.0 * model.lat.split_natural(naturals)[1]
     try:
         lower = np.linalg.cholesky(precisions)
     except np.linalg.LinAlgError:
@@ -356,14 +351,21 @@ def _shifted_pass(
     whiten = prep.whiten
     first = np.einsum("kj,kij->ki", np.sum(weighted, axis=0), whiten)
     second = whiten @ outer @ whiten.transpose(0, 2, 1)
-    rows, cols = np.tril_indices(m)
     return MixturePosterior(
         log_partition=log_partition,
         probabilities=probs,
         feature_means=feature_means,
         weights=weights,
-        component_stats=np.concatenate([first, second[:, rows, cols]], axis=1),
+        component_stats=model.lat.join_mean(first, second),
     )
+
+
+def _component_moments(model: MixtureModel) -> tuple[NDArray, NDArray]:
+    """Component means ``whiten_z offsets_z`` and covariances ``whiten_z whiten_z^T``."""
+    prep = model.prepared
+    offsets = prep.offsets.reshape(model.num_components, model.dim)
+    means = (prep.whiten @ offsets[:, :, None])[:, :, 0]
+    return means, prep.whiten @ prep.whiten.transpose(0, 2, 1)
 
 
 def shifted_log_partition(model: MixtureModel, shifts: NDArray) -> NDArray:
@@ -473,27 +475,16 @@ def mog_from_standard(
     """Build a mixture from weights, component means, and covariances."""
     mix_weights = np.asarray(mix_weights, dtype=float)
     means = np.asarray(means, dtype=float)
-    covariances = np.asarray(covariances, dtype=float)
-    k = len(mix_weights)
     if np.any(mix_weights <= 0.0) or abs(float(np.sum(mix_weights)) - 1.0) > 1e-9:
         raise DomainError("mixture weights must be positive and sum to 1")
     lat = MultivariateNormal(means.shape[1], Structure.FULL)
-    naturals = np.stack(
-        [lat.from_mean_cov(means[idx], covariances[idx]) for idx in range(k)]
-    )
+    naturals = lat.from_mean_cov(means, covariances)
     return _mixture_from_naturals(lat, naturals, mix_weights[1:])
 
 
 def mog_to_standard(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:
     """Recover ``(weights, means, covariances)`` from a mixture."""
-    w = mixture_weights(model)
-    means = np.empty((model.num_components, model.dim))
-    covs = np.empty((model.num_components, model.dim, model.dim))
-    for z in range(1, model.num_components + 1):
-        mu, cov = model.lat.to_mean_cov(model.component_params(z))
-        means[z - 1] = mu
-        covs[z - 1] = cov
-    return w, means, covs
+    return (mixture_weights(model), *_component_moments(model))
 
 
 def mog_sample(

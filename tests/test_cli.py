@@ -89,6 +89,21 @@ class TestFit:
         assert again.read_bytes() == fitted_model.read_bytes()
 
 
+    def test_non_numeric_cell_reported(self, tmp_path, capsys):
+        """A labelled CSV fitted without --label-col: one error line, status 2."""
+        data = tmp_path / "labelled.csv"
+        data.write_text("a,b,species\n1.0,2.0,setosa\n")
+        code = main([
+            "fit", "--input", str(data), "--method", "hmog-fa",
+            "--latent-dim", "1", "--clusters", "2", "--seed", "0",
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hmog: error: {data}: non-numeric cell at row 2, column 3: 'setosa'\n"
+        )
+
+
 class TestProjectClassify:
     def test_project_output(self, synth_csv, fitted_model, tmp_path):
         out = tmp_path / "proj.csv"
@@ -109,13 +124,18 @@ class TestProjectClassify:
         assert len(lines) == 301
 
     @pytest.mark.parametrize("command", ["project", "classify"])
-    def test_input_width_checked(self, synth_csv, fitted_model, tmp_path, command):
+    def test_input_width_checked(
+        self, synth_csv, fitted_model, tmp_path, command, capsys
+    ):
         # the labelled synth file has three columns; the model expects two
-        with pytest.raises(ValueError, match="3 columns.*dims.n = 2"):
-            main([
-                command, "--model", str(fitted_model),
-                "--input", str(synth_csv), "--out", str(tmp_path / "out.csv"),
-            ])
+        code = main([
+            command, "--model", str(fitted_model),
+            "--input", str(synth_csv), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hmog: error: {synth_csv}: 3 columns, but the model expects dims.n = 2\n"
+        )
 
     def test_classify_output(self, synth_csv, fitted_model, tmp_path):
         data = load_csv(synth_csv, label_column="cluster")
@@ -161,11 +181,12 @@ class TestCv:
             ])
 
     @pytest.mark.parametrize("folds", ["0", "1"])
-    def test_fewer_than_two_folds_rejected(self, synth_csv, tmp_path, folds):
-        with pytest.raises(ValueError, match=f"^folds must be at least 2, got {folds}$"):
-            main([
-                "cv", "--input", str(synth_csv), "--method", "two-stage-pca",
-                "--grid", "1:2", "--folds", folds, "--seed", "3",
-                "--out", str(tmp_path / "cv.csv"),
-            ])
+    def test_fewer_than_two_folds_rejected(self, synth_csv, tmp_path, folds, capsys):
+        code = main([
+            "cv", "--input", str(synth_csv), "--method", "two-stage-pca",
+            "--grid", "1:2", "--folds", folds, "--seed", "3",
+            "--out", str(tmp_path / "cv.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"hmog: error: folds must be at least 2, got {folds}\n"
         assert not (tmp_path / "cv.csv").exists()

@@ -282,6 +282,87 @@ class TestStandardBridges:
         with pytest.raises(DomainError):
             fam.from_mean_cov(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_covariance(self, bad):
+        fam = MultivariateNormal(2)
+        sigma = np.stack([np.eye(2), np.eye(2)])
+        sigma[1, 0, 0] = bad
+        for mu, cov in ((np.zeros(2), sigma[1]), (np.zeros((2, 2)), sigma)):
+            with pytest.raises(
+                DomainError, match="^covariance: matrix is not positive-definite$"
+            ):
+                fam.from_mean_cov(mu, cov)
+
+
+def stacked_rows(value, i):
+    """Row ``i`` of a stacked helper result, a flat array or a pair of them."""
+    return tuple(v[i] for v in value) if isinstance(value, tuple) else (value[i],)
+
+
+class TestStackedHelpers:
+    """FULL-structure helpers convert a (k, .) stack row by row, as if alone."""
+
+    @given(
+        k=st.sampled_from([1, 3]),
+        m=st.sampled_from([1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_stack_matches_rows(self, k, m, seed):
+        rng = np.random.default_rng(seed)
+        fam = MultivariateNormal(m, Structure.FULL)
+        mus = rng.normal(size=(k, m)) * 2.0
+        a = rng.normal(size=(k, m, m))
+        sigmas = a @ a.transpose(0, 2, 1) + 0.3 * np.eye(m)
+        thetas = fam.from_mean_cov(mus, sigmas)
+        etas = rng.normal(size=(k, fam.param_dim))
+        nat_first, nat_second = fam.split_natural(thetas)
+        mean_first, mean_second = fam.split_mean(etas)
+        stacked = {
+            "from_mean_cov": thetas,
+            "split_natural": (nat_first, nat_second),
+            "split_mean": (mean_first, mean_second),
+            "join_natural": fam.join_natural(nat_first, nat_second),
+            "join_mean": fam.join_mean(mean_first, mean_second),
+        }
+        assert thetas.shape == etas.shape == (k, fam.param_dim)
+        for i in range(k):
+            rows = {
+                "from_mean_cov": fam.from_mean_cov(mus[i], sigmas[i]),
+                "split_natural": fam.split_natural(thetas[i]),
+                "split_mean": fam.split_mean(etas[i]),
+                "join_natural": fam.join_natural(nat_first[i], nat_second[i]),
+                "join_mean": fam.join_mean(mean_first[i], mean_second[i]),
+            }
+            for name, row in rows.items():
+                row = row if isinstance(row, tuple) else (row,)
+                for got, want in zip(stacked_rows(stacked[name], i), row, strict=True):
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(stacked["join_natural"], thetas)
+        np.testing.assert_array_equal(stacked["join_mean"], etas)
+
+    @pytest.mark.parametrize("structure", [Structure.DIAGONAL, Structure.ISOTROPIC])
+    def test_stacks_rejected_for_structured_families(self, structure):
+        fam = MultivariateNormal(3, structure)
+        stack = np.ones((2, fam.param_dim))
+        for helper in (fam.split_natural, fam.split_mean):
+            with pytest.raises(ValueError, match="expected"):
+                helper(stack)
+        with pytest.raises(ValueError, match="expected"):
+            fam.from_mean_cov(np.zeros((2, 3)), np.ones(3))
+
+    def test_wrong_trailing_length_rejected(self):
+        fam = MultivariateNormal(2, Structure.FULL)
+        for helper in (fam.split_natural, fam.split_mean):
+            with pytest.raises(ValueError, match="expected"):
+                helper(np.zeros((3, fam.param_dim + 1)))
+            with pytest.raises(ValueError, match="expected"):
+                helper(np.zeros((2, 3, fam.param_dim)))
+        with pytest.raises(ValueError, match="expected"):
+            fam.join_natural(np.zeros((3, 3)), np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError, match="expected covariance of shape"):
+            fam.from_mean_cov(np.zeros((3, 2)), np.stack([np.eye(2)] * 2))
+
 
 class TestLogDensity:
     def test_standard_normal_at_origin(self):

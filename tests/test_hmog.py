@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
@@ -211,6 +214,41 @@ class TestForwardMapping:
         mc = samples.mean(axis=0)
         se = samples.std(axis=0) / math.sqrt(len(xs)) + 1e-12
         assert np.max(np.abs(packed - mc) / se) < 5.0
+
+
+def per_component(forward):
+    """Cluster probabilities (k,) and weighted feature statistics (k, s_Y)."""
+    _, eta_lat, eta_cat, _, cross_yz = forward
+    probs = np.concatenate([[1.0 - eta_cat.sum()], eta_cat])
+    stats = np.vstack([eta_lat - cross_yz.sum(axis=1), cross_yz.T])
+    return probs, stats
+
+
+class TestRelabelling:
+    """Cluster labels are arbitrary, including which one is the reference."""
+
+    @given(perm=st.permutations([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+    @example(perm=[2, 0, 1], seed=0)
+    @settings(deadline=None, max_examples=25)
+    def test_density_invariant_and_forward_permuted(self, perm, seed):
+        rng = np.random.default_rng(seed)
+        model, (mean, noise, loading), (weights, means, covs) = random_hmog(rng, k=3)
+        perm = np.asarray(perm)
+        relabelled = hh.assemble_hmog(
+            lg.lgm_from_standard(mean, noise, loading, Structure.DIAGONAL),
+            mx.mog_from_standard(weights[perm], means[perm], covs[perm]),
+        )
+        xs = rng.normal(size=(20, 3)) * 2.0
+        np.testing.assert_allclose(
+            hh.hmog_log_densities(relabelled, xs),
+            hh.hmog_log_densities(model, xs),
+            rtol=1e-10, atol=1e-10,
+        )
+        before, after = hh.hmog_forward(model), hh.hmog_forward(relabelled)
+        for block in (0, 1, 3):  # eta_obs, eta_lat, cross_xy
+            np.testing.assert_allclose(after[block], before[block], rtol=1e-10, atol=1e-10)
+        for got, want in zip(per_component(after), per_component(before)):
+            np.testing.assert_allclose(got, want[perm], rtol=1e-10, atol=1e-10)
 
 
 class TestGradientIdentity:
@@ -544,6 +582,17 @@ class TestDomainChecks:
         bad = dataclasses.replace(model, lat_interaction=interaction)
         with pytest.raises(DomainError, match="component 2"):
             hh.hmog_classify_batch(bad, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "apply",
+        [hh.hmog_mean_log_likelihood, hh.hmog_posterior_pass, hh.hmog_posterior_stats],
+    )
+    def test_empty_batch_rejected(self, apply):
+        model, _, _ = random_hmog(np.random.default_rng(53))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs a nonempty dataset$"):
+                apply(model, np.zeros((0, 3)))
 
     def test_non_negative_observable_block_named(self):
         rng = np.random.default_rng(52)

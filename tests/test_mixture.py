@@ -265,6 +265,48 @@ class TestEmStep:
         assert np.all(np.linalg.eigvalsh(covs[1]) > 0)
 
 
+class TestBackwardRescue:
+    """Mixture moments with component 2 of k=3 collapsed onto a point.
+
+    The moments are dyadic, so the backward mapping recovers the component
+    means and covariances exactly.
+    """
+
+    WEIGHTS = np.array([0.25, 0.25, 0.5])
+    MEANS = np.array([[0.0, 0.5], [1.0, -1.0], [-2.0, 0.25]])
+    COVS = np.array([[[1.0, 0.5], [0.5, 2.0]], np.zeros((2, 2)), [[0.5, 0.25], [0.25, 1.0]]])
+
+    def target(self):
+        lat = MultivariateNormal(2, Structure.FULL)
+        outer = self.MEANS[:, :, None] * self.MEANS[:, None, :]
+        stats = lat.join_mean(self.MEANS, self.COVS + outer)
+        cross = (stats[1:] * self.WEIGHTS[1:, None]).T
+        return lat, self.WEIGHTS @ stats, self.WEIGHTS[1:], cross
+
+    def test_names_the_collapsed_component(self):
+        with pytest.raises(
+            DomainError, match="^component 2 covariance is not positive-definite$"
+        ):
+            mx.mixture_backward(*self.target())
+
+    def test_jitter_touches_only_the_collapsed_component(self):
+        jitter = 1e-6
+        rescued = mx.mixture_backward(*self.target(), jitter=jitter)
+        repaired = self.COVS.copy()
+        repaired[1] = repaired[1] + jitter * np.eye(2)
+        # components 1 and 3 as a stacked conversion without jitter gives them
+        reference = mx.mog_from_standard(self.WEIGHTS, self.MEANS, repaired)
+        lat = reference.lat
+        np.testing.assert_array_equal(
+            rescued.base_params, lat.from_mean_cov(self.MEANS[0], self.COVS[0])
+        )
+        np.testing.assert_array_equal(rescued.base_params, reference.base_params)
+        np.testing.assert_array_equal(rescued.interaction, reference.interaction)
+        np.testing.assert_array_equal(rescued.cat_params, reference.cat_params)
+        _, _, covs = mx.mog_to_standard(rescued)
+        np.testing.assert_allclose(covs[1], jitter * np.eye(2), rtol=1e-9)
+
+
 class TestStandardBridges:
     def test_single_standard_component(self):
         model = mx.mog_from_standard(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
