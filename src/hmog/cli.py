@@ -86,10 +86,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _parse_grid(text: str) -> list[tuple[int, int]]:
     cells = []
     for chunk in text.split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) != 2:
-            raise SystemExit(f"bad grid cell {chunk!r}; expected m:k")
-        cells.append((int(parts[0]), int(parts[1])))
+        try:
+            latent_dim, clusters = (int(part) for part in chunk.strip().split(":"))
+        except ValueError:
+            raise ValueError(f"bad grid cell {chunk!r}; expected m:k") from None
+        cells.append((latent_dim, clusters))
     return cells
 
 
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # DomainError too: bad input, not a crash
+    except (ValueError, OSError) as exc:  # bad input or a missing file, not a crash
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

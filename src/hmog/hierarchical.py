@@ -20,9 +20,13 @@ Each model is prepared once, on first use (`Hmog.prepared`): the feature
 prior and the feature posterior mixtures with their stacked component
 factors, and the joint log-partition. Every per-point computation is then
 one pass of the shifted posterior mixture kernel
-(`mixture.mixture_posterior_stats` and its two lighter wrappers) at the
-shifts ``x @ W``: log-densities, cluster posteriors, projections, and the
-fused log-likelihood plus E-step target (`hmog_posterior_pass`). Mean
+(`mixture.mixture_posterior_stats` and its lighter wrappers) at the
+shifts ``x @ W``: log-densities, cluster posteriors, projections (feature
+means only, no second moments), and the fused log-likelihood plus E-step
+target (`hmog_posterior_pass`). The kernel streams over blocks of
+`mixture.BLOCK_ROWS` rows and adds up its data sums across blocks in a
+fixed order; beyond those sums, a pass holds only the (N, m) shifts and
+feature means and its (N,) or (N, k) outputs, whatever N is. Mean
 log-likelihoods take the observable term from the mean statistic, so the
 fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
 Model blocks must not be mutated in place once the prepared state exists.
@@ -59,6 +63,7 @@ from .mixture import (
     mixture_log_partition,
     mixture_posterior_stats,
     mog_sample,
+    shifted_feature_means,
     shifted_log_partition,
     shifted_posteriors,
 )
@@ -301,10 +306,17 @@ def hmog_log_densities(h: Hmog, xs: NDArray) -> NDArray:
 
     Stage one shifts the feature-posterior mixture by each observation and
     evaluates its log-partition; stage two subtracts the (constant) joint
-    log-partition obtained by double conjugation.
+    log-partition obtained by double conjugation. The observable exponent
+    ``theta_X . s_X(x)`` is contracted without forming the (N, n) squares.
     """
     xs = np.asarray(xs, dtype=float)
-    observed = h.obs.dot_statistics(h.obs_params, xs) + h.obs.log_base_measure(xs)
+    n = h.obs.dim
+    # an isotropic second-order block has one entry, broadcast over i
+    observed = (
+        xs @ h.obs_params[:n]
+        + np.einsum("ni,i,ni->n", xs, h.obs_params[n:], xs)
+        + h.obs.log_base_measure(xs)
+    )
     posterior_psi = shifted_log_partition(h.prepared.posterior, xs @ h.obs_interaction)
     return observed + posterior_psi - h.prepared.log_partition
 
@@ -579,7 +591,7 @@ def hmog_em_iteration(
 def hmog_project_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Posterior feature means E[Y | X = x], cluster index marginalized out."""
     shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
-    return mixture_posterior_stats(h.prepared.posterior, shifts).feature_means
+    return shifted_feature_means(h.prepared.posterior, shifts)
 
 
 def hmog_project(h: Hmog, x: NDArray) -> NDArray:

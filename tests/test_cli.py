@@ -172,13 +172,16 @@ class TestCv:
         assert lines[0] == "latent_dim,k=2"
         assert len(lines) == 2
 
-    def test_bad_grid_rejected(self, synth_csv, tmp_path):
-        with pytest.raises(SystemExit):
-            main([
-                "cv", "--input", str(synth_csv), "--method", "two-stage-pca",
-                "--grid", "nonsense", "--seed", "3",
-                "--out", str(tmp_path / "cv.csv"),
-            ])
+    def test_bad_grid_rejected(self, synth_csv, tmp_path, capsys):
+        code = main([
+            "cv", "--input", str(synth_csv), "--method", "two-stage-pca",
+            "--grid", "nonsense", "--seed", "3",
+            "--out", str(tmp_path / "cv.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "hmog: error: bad grid cell 'nonsense'; expected m:k\n"
+        )
 
     @pytest.mark.parametrize("folds", ["0", "1"])
     def test_fewer_than_two_folds_rejected(self, synth_csv, tmp_path, folds, capsys):
@@ -190,3 +193,39 @@ class TestCv:
         assert code == 2
         assert capsys.readouterr().err == f"hmog: error: folds must be at least 2, got {folds}\n"
         assert not (tmp_path / "cv.csv").exists()
+
+
+class TestMissingFiles:
+    """A missing input, model or output path: one error line naming it, status 2."""
+
+    def _assert_reported(self, code, capsys, path):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hmog: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert str(path) in err
+
+    def test_missing_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main([
+            "fit", "--input", str(missing), "--method", "hmog-fa",
+            "--latent-dim", "1", "--clusters", "2", "--seed", "0",
+            "--out", str(tmp_path / "model.json"),
+        ])
+        self._assert_reported(code, capsys, missing)
+
+    def test_missing_model(self, synth_csv, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main([
+            "project", "--model", str(missing), "--input", str(synth_csv),
+            "--out", str(tmp_path / "features.csv"),
+        ])
+        self._assert_reported(code, capsys, missing)
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        code = main([
+            "synth", "--clusters", "2", "--latent-dim", "1", "--obs-dim", "2",
+            "--count", "10", "--seed", "0", "--out", str(out),
+        ])
+        self._assert_reported(code, capsys, out)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hmog import hierarchical as hh
 from hmog import linear_gaussian as lg
 from hmog import mixture as mx
 from hmog.families import DomainError, Structure
+from hmog.pipeline import default_synthetic_hmog
 
 
 def random_hmog(rng, n=3, m=2, k=3, structure=Structure.DIAGONAL, spread=1.5):
@@ -472,6 +474,21 @@ def shifted_mixture(model, shift):
     )
 
 
+def assert_carried_pass_is_bit_identical():
+    rng = np.random.default_rng(44)
+    truth, _, _ = random_hmog(rng, k=3)
+    xs, _, _ = hh.hmog_sample(truth, 300, rng)
+    start, _, _ = random_hmog(np.random.default_rng(45), k=3)
+    carried, current = start, None
+    uncached = start
+    for _ in range(5):
+        carried, diag = hh.hmog_em_iteration(carried, xs, posterior_pass=current)
+        current = diag.posterior_pass
+        # a fresh instance holds no prepared state
+        uncached, _ = hh.hmog_em_iteration(dataclasses.replace(uncached), xs)
+    assert hh.pack_params(carried).tobytes() == hh.pack_params(uncached).tobytes()
+
+
 class TestPreparedKernel:
     @pytest.mark.parametrize("structure", [Structure.DIAGONAL, Structure.ISOTROPIC])
     @pytest.mark.parametrize("k", [1, 3])
@@ -525,18 +542,7 @@ class TestPreparedKernel:
 
     def test_carried_pass_is_bit_identical(self):
         """Handing each iteration's pass to the next changes no bit."""
-        rng = np.random.default_rng(44)
-        truth, _, _ = random_hmog(rng, k=3)
-        xs, _, _ = hh.hmog_sample(truth, 300, rng)
-        start, _, _ = random_hmog(np.random.default_rng(45), k=3)
-        carried, current = start, None
-        uncached = start
-        for _ in range(5):
-            carried, diag = hh.hmog_em_iteration(carried, xs, posterior_pass=current)
-            current = diag.posterior_pass
-            # a fresh instance holds no prepared state
-            uncached, _ = hh.hmog_em_iteration(dataclasses.replace(uncached), xs)
-        assert hh.pack_params(carried).tobytes() == hh.pack_params(uncached).tobytes()
+        assert_carried_pass_is_bit_identical()
 
     def test_replace_does_not_reuse_prepared_state(self):
         rng = np.random.default_rng(46)
@@ -550,6 +556,59 @@ class TestPreparedKernel:
         assert hh.hmog_observable_log_density(moved, x) != pytest.approx(
             hh.hmog_observable_log_density(model, x), abs=1e-6
         )
+
+
+class TestBlockedKernel:
+    """Streaming the kernel over row blocks changes results only by reassociation."""
+
+    APPLY = (hh.hmog_log_densities, hh.hmog_classify_batch, hh.hmog_project_batch)
+
+    @pytest.mark.parametrize("count", [1, 6, 7, 8, 15, 40])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_blocks_match_one_pass(self, monkeypatch, count, k):
+        rng = np.random.default_rng(60 + k)
+        model, _, _ = random_hmog(rng, k=k)
+        xs, _, _ = hh.hmog_sample(model, count, rng)
+        whole = [apply(model, xs) for apply in self.APPLY]
+        whole_pass = hh.hmog_posterior_pass(model, xs)
+
+        monkeypatch.setattr(mx, "BLOCK_ROWS", 7)
+        for apply, expected in zip(self.APPLY, whole):
+            blocked = apply(model, xs)
+            assert blocked.shape == expected.shape
+            np.testing.assert_allclose(blocked, expected, rtol=0, atol=1e-12)
+        blocked_pass = hh.hmog_posterior_pass(model, xs)
+        scale = np.max(np.abs(whole_pass.target))
+        assert np.max(np.abs(blocked_pass.target - whole_pass.target)) <= 1e-12 * scale
+        assert blocked_pass.mean_log_likelihood == pytest.approx(
+            whole_pass.mean_log_likelihood, rel=1e-12, abs=0
+        )
+
+    def test_carried_pass_is_bit_identical_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(mx, "BLOCK_ROWS", 7)  # 300 points: 43 blocks
+        assert_carried_pass_is_bit_identical()
+
+    def test_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(mx, "BLOCK_ROWS", 7)
+        model, _, _ = random_hmog(np.random.default_rng(64))
+        empty = np.zeros((0, 3))
+        assert hh.hmog_log_densities(model, empty).shape == (0,)
+        with pytest.raises(ValueError, match="needs a nonempty dataset$"):
+            hh.hmog_posterior_pass(model, empty)
+
+    def test_memory_does_not_grow_with_batch(self):
+        """At N = 1e5, no pass holds more than the (N, m) and (N, k) arrays."""
+        model = default_synthetic_hmog(8, 5, 50)
+        xs, _, _ = hh.hmog_sample(model, 100_000, np.random.default_rng(65))
+        model.prepared
+        for apply in (*self.APPLY, hh.hmog_posterior_pass):
+            tracemalloc.start()
+            try:
+                apply(model, xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 24 * 2**20, f"{apply.__name__}: {peak / 2**20:.1f} MiB"
 
 
 class TestDomainChecks:
