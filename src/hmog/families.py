@@ -23,6 +23,13 @@ This module alone knows the packed layout. For FULL structure the helpers
 ``from_mean_cov`` also take stacks, one row per component: flat vectors
 ``(k, param_dim)`` against first-order blocks ``(k, dim)`` and matrices
 ``(k, dim, dim)``. Each row is converted as it would be on its own.
+
+Every positive-definite matrix of the package is factored here, by
+numpy's LAPACK Cholesky: `_cholesky` returns the lower factors of a
+stack and `_spd_inverse` turns one such factorization into inverses and
+log-determinants. Non-finite or indefinite input raises DomainError with
+the caller's context. The other modules call these two helpers and
+factor nothing themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve, cholesky
 
 __all__ = [
     "Structure",
@@ -70,16 +76,8 @@ def _tril_rows_cols(n: int) -> tuple[NDArray, NDArray]:
     return rows, cols
 
 
-def _chol_lower(matrix: NDArray, context: str) -> NDArray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix."""
-    try:
-        return cholesky(matrix, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise DomainError(f"{context}: matrix is not positive-definite") from exc
-
-
-def _spd_inverse(matrix: NDArray, context: str) -> NDArray:
-    """Inverses ``L^{-T} L^{-1}`` of positive-definite matrices ``(..., n, n)``.
+def _cholesky(matrix: NDArray, context: str) -> NDArray:
+    """Lower Cholesky factors of positive-definite matrices ``(..., n, n)``.
 
     numpy's Cholesky lets non-finite entries through; they are rejected
     first, as an indefinite matrix would be.
@@ -87,11 +85,17 @@ def _spd_inverse(matrix: NDArray, context: str) -> NDArray:
     if not np.all(np.isfinite(matrix)):
         raise DomainError(f"{context}: matrix is not positive-definite")
     try:
-        lower = np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"{context}: matrix is not positive-definite") from exc
+
+
+def _spd_inverse(matrix: NDArray, context: str) -> tuple[NDArray, NDArray]:
+    """Inverses ``L^{-T} L^{-1}`` and log-determinants ``(...,)`` from one factoring."""
+    lower = _cholesky(matrix, context)
     inv_lower = np.linalg.inv(lower)
-    return np.swapaxes(inv_lower, -1, -2) @ inv_lower
+    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=-2, axis2=-1)), axis=-1)
+    return np.swapaxes(inv_lower, -1, -2) @ inv_lower, logdet
 
 
 def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
@@ -362,7 +366,11 @@ class MultivariateNormal:
         return np.concatenate([xs, second], axis=1)
 
     def dot_statistics(self, theta: NDArray, xs: NDArray) -> NDArray:
-        """Rows of ``sufficient_statistics(xs) @ theta`` without forming them."""
+        """Rows of ``sufficient_statistics(xs) @ theta`` without forming them.
+
+        Structured blocks contract without the (N, n) squares; an isotropic
+        block's one entry broadcasts over the coordinates.
+        """
         xs = self._points(xs)
         n = self.dim
         theta = np.asarray(theta, dtype=float)
@@ -370,9 +378,7 @@ class MultivariateNormal:
         if self.structure is Structure.FULL:
             _, second = self.split_natural(theta)
             return linear + np.einsum("ni,ij,nj->n", xs, second, xs)
-        if self.structure is Structure.DIAGONAL:
-            return linear + (xs * xs) @ theta[n:]
-        return linear + theta[n] * np.einsum("ni,ni->n", xs, xs)
+        return linear + np.einsum("ni,i,ni->n", xs, theta[n:], xs)
 
     def mean_statistics(self, xs: NDArray) -> NDArray:
         """Average sufficient statistic over the rows of ``xs``."""
@@ -395,9 +401,10 @@ class MultivariateNormal:
         """Factor the positive-definite matrix ``A = -2 Theta``.
 
         Returns the pieces subsequent computations need: a solver for
-        ``A^{-1} v``, ``log det A``, and a covariance extractor. Raises
-        DomainError when the definiteness constraint fails. Structured
-        second-order blocks never materialize a dense matrix here.
+        ``A^{-1} v``, ``log det A``, and the covariance ``A^{-1}`` (its
+        diagonal for structured blocks, which never materialize a dense
+        matrix here). Raises DomainError when the definiteness constraint
+        fails.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.param_dim,):
@@ -408,15 +415,11 @@ class MultivariateNormal:
         first = theta[:n]
         if self.structure is Structure.FULL:
             _, second = self.split_natural(theta)
-            a_mat = -2.0 * second
-            lower = _chol_lower(a_mat, context)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(lower))))
+            cov, logdet = _spd_inverse(-2.0 * second, context)
+            logdet = float(logdet)
 
             def solve(v: NDArray) -> NDArray:
-                return cho_solve((lower, True), v)
-
-            def covariance() -> NDArray:
-                return solve(np.eye(n))
+                return cov @ v
 
         else:
             diag = -2.0 * theta[n:]
@@ -431,10 +434,8 @@ class MultivariateNormal:
                     return v / diag
                 return v / diag[:, None]
 
-            def covariance() -> NDArray:
-                return 1.0 / diag
-
-        return first, solve, logdet, covariance
+            cov = 1.0 / diag
+        return first, solve, logdet, cov
 
     # -- log-partition, forward, backward ------------------------------------
 
@@ -461,9 +462,8 @@ class MultivariateNormal:
 
     def to_mean(self, theta: NDArray) -> NDArray:
         """Forward mapping to flat mean coordinates (gradient of psi)."""
-        first, solve, _, covariance = self._scale(theta)
+        first, solve, _, cov = self._scale(theta)
         mu = solve(first)
-        cov = covariance()
         if self.structure is Structure.FULL:
             return self.join_mean(mu, cov + np.outer(mu, mu))
         if self.structure is Structure.DIAGONAL:
@@ -477,9 +477,8 @@ class MultivariateNormal:
         ``cov`` is the shared dense covariance ``(-2 Theta)^{-1}``.
         """
         theta0 = self.join_natural(np.zeros(self.dim), second)
-        _, solve, _, covariance = self._scale(theta0)
+        _, solve, _, cov = self._scale(theta0)
         means = solve(firsts.T).T
-        cov = covariance()
         if self.structure is not Structure.FULL:
             cov = np.diag(cov)
         return means, cov
@@ -513,7 +512,7 @@ class MultivariateNormal:
                     f"expected covariance of shape {mu.shape + (self.dim,)}, "
                     f"got {sigma.shape}"
                 )
-            inv = _spd_inverse(sigma, "covariance")
+            inv, _ = _spd_inverse(sigma, "covariance")
             return self.join_natural((inv @ mu[..., None])[..., 0], -0.5 * inv)
         if self.structure is Structure.DIAGONAL:
             var = np.asarray(sigma, dtype=float)
@@ -529,9 +528,8 @@ class MultivariateNormal:
 
     def to_mean_cov(self, theta: NDArray) -> tuple[NDArray, NDArray]:
         """Standard parameters ``(mu, Sigma)`` in structure shape."""
-        first, solve, _, covariance = self._scale(theta)
+        first, solve, _, cov = self._scale(theta)
         mu = solve(first)
-        cov = covariance()
         if self.structure is Structure.ISOTROPIC:
             return mu, float(cov[0])
         return mu, cov
@@ -556,5 +554,5 @@ class MultivariateNormal:
         mu, cov = self.to_mean_cov(theta)
         noise = rng.standard_normal((size, self.dim))
         if self.structure is Structure.FULL:
-            return mu + noise @ _chol_lower(cov, "covariance").T
+            return mu + noise @ _cholesky(cov, "covariance").T
         return mu + noise * np.sqrt(cov)

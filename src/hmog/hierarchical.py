@@ -52,6 +52,7 @@ from numpy.typing import NDArray
 from .families import Categorical, DomainError, MultivariateNormal, Structure
 from .linear_gaussian import (
     LinearGaussianModel,
+    _draw_observations,
     lgm_backward,
     lgm_conditional_forward,
     lgm_conjugation_parameters,
@@ -306,17 +307,10 @@ def hmog_log_densities(h: Hmog, xs: NDArray) -> NDArray:
 
     Stage one shifts the feature-posterior mixture by each observation and
     evaluates its log-partition; stage two subtracts the (constant) joint
-    log-partition obtained by double conjugation. The observable exponent
-    ``theta_X . s_X(x)`` is contracted without forming the (N, n) squares.
+    log-partition obtained by double conjugation.
     """
     xs = np.asarray(xs, dtype=float)
-    n = h.obs.dim
-    # an isotropic second-order block has one entry, broadcast over i
-    observed = (
-        xs @ h.obs_params[:n]
-        + np.einsum("ni,i,ni->n", xs, h.obs_params[n:], xs)
-        + h.obs.log_base_measure(xs)
-    )
+    observed = h.obs.dot_statistics(h.obs_params, xs) + h.obs.log_base_measure(xs)
     posterior_psi = shifted_log_partition(h.prepared.posterior, xs @ h.obs_interaction)
     return observed + posterior_psi - h.prepared.log_partition
 
@@ -660,10 +654,4 @@ def hmog_sample(
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Ancestral draws ``(observations, features, cluster indices)``."""
     ys, zs = mog_sample(h.prepared.prior, size, rng)
-    first, solve, _, covariance = h.obs._scale(
-        h.obs_params, "observable natural parameters"
-    )
-    means = solve(first[:, None] + h.obs_interaction @ ys.T).T
-    noise = rng.standard_normal((size, h.obs.dim))
-    xs = means + noise * np.sqrt(covariance())
-    return xs, ys, zs
+    return _draw_observations(_likelihood_lgm(h), ys, rng), ys, zs

@@ -18,6 +18,13 @@ O(N n^2) time once per dataset and O(n^2) memory; after that one
 `lgm_moment_pass` per EM step scores the current model and yields the next
 step's E-step target from the single O(n^2 m) product ``C @ W``, with no
 pass over the points.
+
+Dense blocks (the feature precision, and the observable one under FULL
+structure) are factored only through `families._cholesky` and
+`families._spd_inverse`, once per matrix per step: `lgm_backward` reads
+``C_yy^{-1}`` off one inverse, and `lgm_moment_pass` takes log p(xbar)'s
+posterior log-partition from the same factor that gives the posterior
+covariance.
 """
 
 from __future__ import annotations
@@ -26,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_solve
 
-from .families import DomainError, MultivariateNormal, Structure, _chol_lower
+from .families import DomainError, MultivariateNormal, Structure, _cholesky, _spd_inverse
 from .harmonium import ConjugationParams, Harmonium
 
 __all__ = [
@@ -145,7 +151,7 @@ def lgm_conditional_forward(
     is affine in ``eta_Y``, so any feature prior, Gaussian or mixture, can
     be pushed through it.
     """
-    first, solve, _, covariance = model.obs._scale(
+    first, solve, _, cov = model.obs._scale(
         model.obs_params, "observable natural parameters"
     )
     mu_y, second_y = model.lat.split_mean(eta_y)
@@ -155,9 +161,9 @@ def lgm_conditional_forward(
     sigma_xy = loading @ sigma_yy
     cross = sigma_xy + np.outer(mu_x, mu_y)
     if model.obs.structure is Structure.FULL:
-        sigma_xx = covariance() + sigma_xy @ loading.T
+        sigma_xx = cov + sigma_xy @ loading.T
         return model.obs.join_mean(mu_x, sigma_xx + np.outer(mu_x, mu_x)), cross
-    var = covariance() + np.einsum("ij,ij->i", loading, sigma_xy)
+    var = cov + np.einsum("ij,ij->i", loading, sigma_xy)
     if model.obs.structure is Structure.DIAGONAL:
         return model.obs.join_mean(mu_x, var + mu_x**2), cross
     return model.obs.join_mean(mu_x, float(np.sum(var) + mu_x @ mu_x)), cross
@@ -194,41 +200,31 @@ def lgm_backward(
     m_x, second_x = obs.split_mean(eta_x)
     m_y, h_yy = lat.split_mean(eta_y)
     c_yy = h_yy - np.outer(m_y, m_y)
-    lower = _chol_lower(c_yy, "feature covariance statistics")
+    c_yy_inv, _ = _spd_inverse(c_yy, "feature covariance statistics")
     c_xy = cross - np.outer(m_x, m_y)
-    b_mat = cho_solve((lower, True), c_xy.T).T
+    b_mat = c_xy @ c_yy_inv
     row_quad = np.einsum("ij,ij->i", b_mat, c_xy)
 
     n = obs.dim
     if obs.structure is Structure.FULL:
         noise = (second_x - np.outer(m_x, m_x)) - b_mat @ c_xy.T
-        noise_lower = _chol_lower(noise, "observable noise covariance")
-        noise_inv = cho_solve((noise_lower, True), np.eye(n))
+        noise_inv, _ = _spd_inverse(noise, "observable noise covariance")
         theta_xy = noise_inv @ b_mat
         obs_first = noise_inv @ (m_x - b_mat @ m_y)
         obs_flat = obs.join_natural(obs_first, -0.5 * noise_inv)
-        quad = b_mat.T @ theta_xy
     else:
-        var_x = second_x - m_x**2 if obs.structure is Structure.DIAGONAL else None
         if obs.structure is Structure.ISOTROPIC:
             total = second_x - float(m_x @ m_x) - float(np.sum(row_quad))
-            if total <= 0.0:
-                raise DomainError("observable noise variance is not positive")
             noise = np.full(n, total / n)
         else:
-            noise = var_x - row_quad
-            if np.any(noise <= 0.0):
-                raise DomainError("observable noise variance is not positive")
+            noise = second_x - m_x**2 - row_quad
+        if np.any(noise <= 0.0):
+            raise DomainError("observable noise variance is not positive")
         theta_xy = b_mat / noise[:, None]
         obs_first = (m_x - b_mat @ m_y) / noise
-        if obs.structure is Structure.DIAGONAL:
-            obs_flat = obs.join_natural(obs_first, -0.5 / noise)
-        else:
-            obs_flat = obs.join_natural(obs_first, -0.5 / noise[0])
-        quad = b_mat.T @ theta_xy
+        obs_flat = obs.join_natural(obs_first, -0.5 / noise[: obs.second_dim])
 
-    c_yy_inv = cho_solve((lower, True), np.eye(lat.dim))
-    lat_second = -0.5 * (c_yy_inv + quad)
+    lat_second = -0.5 * (c_yy_inv + b_mat.T @ theta_xy)
     lat_first = c_yy_inv @ m_y - b_mat.T @ obs_first
     lat_flat = lat.join_natural(lat_first, lat_second)
     return LinearGaussianModel(
@@ -304,17 +300,25 @@ def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> MomentP
     """
     n, lat = model.obs.dim, model.lat
     lat_first, lat_second = lat.split_natural(model.lat_params)
-    lower = _chol_lower(-2.0 * lat_second, "posterior feature precision")
-    cov = cho_solve((lower, True), np.eye(lat.dim))
+    cov, logdet = _spd_inverse(-2.0 * lat_second, "posterior feature precision")
     c_w = moments.covariance @ model.interaction
     spread = model.interaction.T @ c_w
-    mean_y = cov @ (lat_first + model.interaction.T @ moments.mean)
+    first_y = lat_first + model.interaction.T @ moments.mean
+    mean_y = cov @ first_y
 
-    # tr(Theta_XX C) is the packed natural block against C packed as a
-    # second-moment block of the same structure.
+    # log p(xbar) takes its posterior log-partition 1/2 f . S f - 1/2 log|P|
+    # from the factor above. tr(Theta_XX C) is the packed natural block
+    # against C packed as a second-moment block of the same structure.
+    xbar = moments.mean[None, :]
     packed_c = model.obs.join_mean(np.zeros(n), moments.covariance)[n:]
-    centre = lgm_log_densities(model, moments.mean[None, :])[0]
-    mean_ll = centre + model.obs_params[n:] @ packed_c + 0.5 * np.sum(cov * spread)
+    mean_ll = (
+        model.obs.dot_statistics(model.obs_params, xbar)[0]
+        + 0.5 * (first_y @ mean_y - logdet)
+        - lgm_log_partition(model)
+        + model.obs.log_base_measure(xbar)
+        + model.obs_params[n:] @ packed_c
+        + 0.5 * np.sum(cov * spread)
+    )
 
     second_y = cov + np.outer(mean_y, mean_y) + cov @ spread @ cov
     cross = np.outer(moments.mean, mean_y) + c_w @ cov
@@ -408,8 +412,8 @@ def lgm_from_standard(
     obs_params = obs.from_mean_cov(mean, noise)
     obs_first = obs_params[:n]
     if structure is Structure.FULL:
-        lower = _chol_lower(np.asarray(noise, dtype=float), "noise covariance")
-        interaction = cho_solve((lower, True), loading)
+        # Theta_XX = -1/2 Sigma^{-1}, already inverted by from_mean_cov
+        interaction = -2.0 * obs.split_natural(obs_params)[1] @ loading
     elif structure is Structure.DIAGONAL:
         interaction = loading / np.asarray(noise, dtype=float)[:, None]
     else:
@@ -432,15 +436,12 @@ def lgm_to_standard(
     with `lgm_from_standard` are exact; reconstructing the full joint from
     the triple assumes the standard-normal prior convention.
     """
-    first, solve, _, covariance = model.obs._scale(
+    first, solve, _, noise = model.obs._scale(
         model.obs_params, "observable natural parameters"
     )
-    mean = solve(first)
-    loading = solve(model.interaction)
-    noise = covariance()
     if model.obs.structure is Structure.ISOTROPIC:
         noise = float(noise[0])
-    return mean, noise, loading
+    return solve(first), noise, solve(model.interaction)
 
 
 def lgm_sample(
@@ -449,17 +450,21 @@ def lgm_sample(
     """Ancestral draws ``(observations, features)``."""
     conj = lgm_conjugation_parameters(model)
     ys = model.lat.sample(model.lat_params + conj.rho, size, rng)
-    first, solve, _, covariance = model.obs._scale(
+    return _draw_observations(model, ys, rng), ys
+
+
+def _draw_observations(
+    model: LinearGaussianModel, ys: NDArray, rng: np.random.Generator
+) -> NDArray:
+    """One draw from the conditional p(x | y) per row of ``ys``."""
+    first, solve, _, cov = model.obs._scale(
         model.obs_params, "observable natural parameters"
     )
     means = solve((first[:, None] + model.interaction @ ys.T)).T
-    noise = rng.standard_normal((size, model.obs.dim))
+    noise = rng.standard_normal((len(ys), model.obs.dim))
     if model.obs.structure is Structure.FULL:
-        lower = _chol_lower(covariance(), "noise covariance")
-        xs = means + noise @ lower.T
-    else:
-        xs = means + noise * np.sqrt(covariance())
-    return xs, ys
+        return means + noise @ _cholesky(cov, "noise covariance").T
+    return means + noise * np.sqrt(cov)
 
 
 def lgm_joint_params(model: LinearGaussianModel) -> tuple[MultivariateNormal, NDArray]:

@@ -7,7 +7,7 @@ of the interaction matrix. Conjugation parameters are exact by
 construction, which gives closed-form densities, posteriors, and EM.
 
 Each model factors its component precisions once, with one stacked
-Cholesky, into `MixtureModel.prepared`. Everything evaluated under
+`families._cholesky`, into `MixtureModel.prepared`. Everything evaluated under
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
 one product of the shifts with the stacked whitening maps, a max-shift
@@ -22,10 +22,13 @@ the operations of an unblocked pass. The conjugation parameters are read
 off the same factors.
 
 Component conversions are stacked: the forward map and `mog_to_standard`
-read every component's mean and covariance off the prepared factors, and
-the backward map and `mog_from_standard` convert all components with one
-stacked `MultivariateNormal.from_mean_cov`. Only `mog_sample` and the
-jitter rescue of a failed conversion visit components one at a time.
+read every component's mean and covariance off the prepared factors. The
+backward map and `mog_from_standard` invert all component covariances
+with one stacked `families._spd_inverse` and take the categorical
+parameters from the moments they hold, ``psi_z = 1/2 mu_z . theta_mu(z) +
+1/2 log|Sigma_z|``, with no candidate model to factor. Only `mog_sample`
+and the jitter rescue of a failed conversion visit components one at a
+time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .families import (
     DomainError,
     MultivariateNormal,
     Structure,
+    _cholesky,
+    _spd_inverse,
     normalize_logits,
 )
 from .harmonium import ConjugationParams, Harmonium
@@ -187,59 +192,54 @@ def mixture_backward(
     """Backward mapping from mean coordinates to a MixtureModel.
 
     Inverts `mixture_forward`: recovers component weights and
-    per-component moments, converts all components back to natural
-    parameters in one stacked call, and solves for the categorical
-    parameters through the conjugation equation. A component whose
-    covariance loses positive-definiteness raises DomainError naming the
-    first such component; with ``jitter > 0`` those components alone get
-    an additive ``jitter * I`` instead.
+    per-component moments and hands them to `_mixture_from_moments`. A
+    component whose covariance loses positive-definiteness raises
+    DomainError naming the first such component; with ``jitter > 0``
+    those components alone get an additive ``jitter * I`` instead.
     """
     eta_z = np.asarray(eta_z, dtype=float)
-    k = len(eta_z) + 1
     w1 = 1.0 - float(np.sum(eta_z))
     if w1 <= 0.0 or np.any(eta_z <= 0.0):
         raise DomainError("degenerate mixture weights in backward mapping")
     comp_means = np.vstack([(eta_y - cross.sum(axis=1)) / w1, (cross / eta_z).T])
-
     mu, second = lat.split_mean(comp_means)
     sigma = second - mu[:, :, None] * mu[:, None, :]
+    return _mixture_from_moments(lat, mu, sigma, eta_z, jitter)
+
+
+def _mixture_from_moments(
+    lat: MultivariateNormal, mu: NDArray, sigma: NDArray, eta_z: NDArray, jitter: float
+) -> MixtureModel:
+    """The mixture of component means (k, m), covariances (k, m, m), weights 2..k.
+
+    The categorical parameters solve the conjugation equation,
+    ``theta_Z = to_natural(eta_z) - (psi_z - psi_1)`` over ``z = 2..k``.
+    """
     try:
-        naturals = lat.from_mean_cov(mu, sigma)
+        inverse, logdet = _spd_inverse(sigma, "covariance")
     except DomainError:
         # Retry one component at a time, so healthy components come out as
         # the stacked conversion gives them and only failures are jittered.
-        naturals = np.empty_like(comp_means)
-        for idx in range(k):
+        inverse, logdet = np.empty_like(sigma), np.empty(len(sigma))
+        for idx in range(len(sigma)):
             try:
-                naturals[idx] = lat.from_mean_cov(mu[idx], sigma[idx])
+                inverse[idx], logdet[idx] = _spd_inverse(sigma[idx], "covariance")
             except DomainError:
                 if jitter <= 0.0:
                     raise DomainError(
                         f"component {idx + 1} covariance is not positive-definite"
                     ) from None
                 jittered = sigma[idx] + jitter * np.eye(lat.dim)
-                naturals[idx] = lat.from_mean_cov(mu[idx], jittered)
-    return _mixture_from_naturals(lat, naturals, eta_z)
-
-
-def _mixture_from_naturals(
-    lat: MultivariateNormal, naturals: NDArray, eta_z: NDArray
-) -> MixtureModel:
-    """The mixture of stacked component naturals with weights ``eta_z`` of 2..k.
-
-    The categorical parameters solve the conjugation equation of a
-    candidate with the same components and zero categorical parameters.
-    """
+                inverse[idx], logdet[idx] = _spd_inverse(jittered, "covariance")
+    first = (inverse @ mu[..., None])[..., 0]
+    naturals = lat.join_natural(first, -0.5 * inverse)
+    psi = 0.5 * np.sum(mu * first, axis=1) + 0.5 * logdet
     base = naturals[0]
-    interaction = (naturals[1:] - base).T
-    candidate = MixtureModel(
-        lat=lat, base_params=base, cat_params=np.zeros(len(naturals) - 1),
-        interaction=interaction,
-    )
-    conj = mixture_conjugation_parameters(candidate)
-    cat_params = candidate.cat.to_natural(eta_z) - conj.rho
     return MixtureModel(
-        lat=lat, base_params=base, cat_params=cat_params, interaction=interaction
+        lat=lat,
+        base_params=base,
+        cat_params=Categorical(len(mu)).to_natural(eta_z) - (psi[1:] - psi[0]),
+        interaction=(naturals[1:] - base).T,
     )
 
 
@@ -286,8 +286,8 @@ def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
         raise DomainError("non-finite mixture parameters")
     precisions = -2.0 * model.lat.split_natural(naturals)[1]
     try:
-        lower = np.linalg.cholesky(precisions)
-    except np.linalg.LinAlgError:
+        lower = _cholesky(precisions, "precision")
+    except DomainError:
         worst = int(np.argmin(np.linalg.eigvalsh(precisions)[:, 0])) + 1
         raise DomainError(
             f"component {worst}: precision is not positive-definite"
@@ -537,8 +537,13 @@ def mog_from_standard(
     if np.any(mix_weights <= 0.0) or abs(float(np.sum(mix_weights)) - 1.0) > 1e-9:
         raise DomainError("mixture weights must be positive and sum to 1")
     lat = MultivariateNormal(means.shape[1], Structure.FULL)
-    naturals = lat.from_mean_cov(means, covariances)
-    return _mixture_from_naturals(lat, naturals, mix_weights[1:])
+    covariances = np.asarray(covariances, dtype=float)
+    if covariances.shape != means.shape + (lat.dim,):
+        raise ValueError(
+            f"expected covariances of shape {means.shape + (lat.dim,)}, "
+            f"got {covariances.shape}"
+        )
+    return _mixture_from_moments(lat, means, covariances, mix_weights[1:], jitter=0.0)
 
 
 def mog_to_standard(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:

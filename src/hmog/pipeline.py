@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from .families import DomainError, MultivariateNormal, Structure
+from .families import DomainError, MultivariateNormal, Structure, _cholesky
 from .hierarchical import (
     Hmog,
     assemble_hmog,
@@ -324,10 +324,7 @@ def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
     mu = projected.mean(axis=0)
     centered = projected - mu
     sigma = centered.T @ centered / len(projected)
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("degenerate covariance of projected data") from exc
+    lower = _cholesky(sigma, "projected data covariance")
     rng = np.random.default_rng(seed)
     means = mu + rng.standard_normal((clusters, projected.shape[1])) @ lower.T
     covs = np.broadcast_to(sigma, (clusters, *sigma.shape)).copy()
@@ -728,22 +725,27 @@ def _block(params: dict, name: str, shape: tuple[int, ...]) -> NDArray:
 def model_from_dict(payload: dict) -> Hmog:
     """Rebuild a hierarchical model from the interchange schema.
 
-    The method must be one of `METHODS` and every parameter block must
-    have the length its structure and ``dims`` imply; a violation raises
+    The payload, its ``dims`` and its ``params`` must be objects, the
+    method one of `METHODS`, and every parameter block must have the
+    length its structure and ``dims`` imply; a violation raises
     ValueError naming the offending field. Non-finite entries, a
     non-negative observable second-order block or a component whose joint
     precision is not positive-definite raise DomainError (a ValueError)
     naming the block or component, here rather than at first use.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"model: expected an object, got {type(payload).__name__}")
     method = payload.get("method")
     if method not in METHODS:
         raise ValueError(f"method: unknown {method!r}; choose from {METHODS}")
-    dims = payload.get("dims", {})
+    dims, params = payload.get("dims", {}), payload.get("params", {})
+    for name, value in (("dims", dims), ("params", params)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name}: expected an object, got {type(value).__name__}")
     for key in ("n", "m", "k"):
         if not isinstance(dims.get(key), int) or dims[key] < 1:
             raise ValueError(f"dims.{key}: expected a positive integer, got {dims.get(key)!r}")
     n, m, k = dims["n"], dims["m"], dims["k"]
-    params = payload.get("params", {})
     obs = MultivariateNormal(n, _structure(method))
     lat = MultivariateNormal(m, Structure.FULL)
     model = Hmog(

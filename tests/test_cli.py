@@ -1,10 +1,15 @@
 """Command-line interface, exercised in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmog
 from hmog.cli import main
 from hmog.pipeline import load_csv, load_model
 
@@ -229,3 +234,54 @@ class TestMissingFiles:
             "--count", "10", "--seed", "0", "--out", str(out),
         ])
         self._assert_reported(code, capsys, out)
+
+
+class TestMalformedModel:
+    """A model file whose top level, ``dims`` or ``params`` is not an object."""
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: [1, 2],
+            lambda payload: {**payload, "dims": [1, 1, 2]},
+            lambda payload: {**payload, "params": [1.0]},
+        ],
+        ids=["model", "dims", "params"],
+    )
+    @pytest.mark.parametrize("command", ["project", "synth"])
+    def test_reported_without_traceback(
+        self, fitted_model, synth_csv, tmp_path, capsys, mangle, command
+    ):
+        bad = tmp_path / "bad.json"
+        payload = json.loads(fitted_model.read_text(encoding="utf-8"))
+        bad.write_text(json.dumps(mangle(payload)), encoding="utf-8")
+        if command == "project":
+            args = ["project", "--model", str(bad), "--input", str(synth_csv)]
+        else:
+            args = [
+                "synth", "--clusters", "2", "--latent-dim", "1", "--obs-dim", "2",
+                "--count", "10", "--seed", "0", "--spec", str(bad),
+            ]
+        code = main([*args, "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hmog: error: ")
+        assert err.count("\n") == 1
+        assert "expected an object, got list" in err
+
+
+def test_import_loads_no_scipy():
+    """The runtime is numpy alone: importing the package loads no scipy module."""
+    src = str(Path(hmog.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    probe = (
+        "import sys, hmog; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from hmog.families import Categorical, DomainError, MultivariateNormal, Structure
+from hmog.families import (
+    Categorical,
+    DomainError,
+    MultivariateNormal,
+    Structure,
+    _spd_inverse,
+)
 
 ALL_STRUCTURES = [Structure.FULL, Structure.DIAGONAL, Structure.ISOTROPIC]
 
@@ -282,7 +288,8 @@ class TestStandardBridges:
         with pytest.raises(DomainError):
             fam.from_mean_cov(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # -1.0 leaves the covariance finite but indefinite: same message
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_non_finite_covariance(self, bad):
         fam = MultivariateNormal(2)
         sigma = np.stack([np.eye(2), np.eye(2)])
@@ -340,6 +347,21 @@ class TestStackedHelpers:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(stacked["join_natural"], thetas)
         np.testing.assert_array_equal(stacked["join_mean"], etas)
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (4, 3), (2, 5)])
+    def test_spd_inverse_matches_numpy_rows(self, k, m):
+        rng = np.random.default_rng(10 * k + m)
+        a = rng.normal(size=(k, m, m))
+        stack = a @ a.transpose(0, 2, 1) + 0.3 * np.eye(m)
+        inverse, logdet = _spd_inverse(stack, "covariance")
+        assert inverse.shape == (k, m, m) and logdet.shape == (k,)
+        for i in range(k):
+            sign, want = np.linalg.slogdet(stack[i])
+            assert sign == 1.0
+            np.testing.assert_allclose(
+                inverse[i], np.linalg.inv(stack[i]), rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(logdet[i], want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("structure", [Structure.DIAGONAL, Structure.ISOTROPIC])
     def test_stacks_rejected_for_structured_families(self, structure):

@@ -112,6 +112,15 @@ class TestForwardMapping:
         np.testing.assert_allclose(recovered.cat_params, model.cat_params, atol=1e-8)
         np.testing.assert_allclose(recovered.interaction, model.interaction, atol=1e-8)
 
+    def test_forward_of_backward_reproduces_blocks(self):
+        """The backward map's categorical parameters, taken from the moments,
+        give back the weights the forward map started from."""
+        model, _ = random_mog(np.random.default_rng(12), 4, 3)
+        blocks = mx.mixture_forward(model)
+        again = mx.mixture_forward(mx.mixture_backward(model.lat, *blocks))
+        for got, want in zip(again, blocks, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestObservableDensity:
     def test_standard_normal_at_origin(self):

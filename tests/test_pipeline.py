@@ -567,6 +567,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="method"):
             model_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "field, mangle",
+        [
+            ("model", lambda payload: [1, 2]),
+            ("dims", lambda payload: {**payload, "dims": [2, 1, 2]}),
+            ("params", lambda payload: {**payload, "params": [1.0]}),
+        ],
+        ids=["model", "dims", "params"],
+    )
+    def test_non_object_rejected(self, synthetic_data, field, mangle):
+        truth, _ = synthetic_data
+        payload = mangle(model_to_dict(truth, "hmog_fa", seed=3))
+        with pytest.raises(ValueError, match=f"^{field}: expected an object, got list$"):
+            model_from_dict(payload)
+
     def test_block_length_checked(self, synthetic_data):
         truth, _ = synthetic_data
         payload = model_to_dict(truth, "hmog_fa", seed=3)
