@@ -177,12 +177,13 @@ class PosteriorPass:
     """The fused pass of one model over one dataset.
 
     ``mean_log_likelihood`` is the mean observable log-density and
-    ``target`` the E-step target in the `pack_means` layout; one kernel
-    pass yields both.
+    ``target`` the E-step target ``(eta_obs, eta_lat, eta_cat, cross_xy,
+    cross_yz)``, the blocks `hmog_forward` returns; one kernel pass yields
+    both.
     """
 
     mean_log_likelihood: float
-    target: NDArray
+    target: tuple[NDArray, NDArray, NDArray, NDArray, NDArray]
 
 
 @dataclass(frozen=True)
@@ -504,7 +505,7 @@ def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> PosteriorPass:
     count = len(xs)
     post = mixture_posterior_stats(h.prepared.posterior, xs @ h.obs_interaction)
     stats = post.component_stats / count
-    target = pack_means(
+    target = (
         eta_obs,
         stats.sum(axis=0),
         post.weights[1:] / count,
@@ -519,20 +520,7 @@ def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
 
     Returned flat in the `pack_means` layout.
     """
-    return hmog_posterior_pass(h, xs).target
-
-
-def _split_means(h: Hmog, flat: NDArray) -> tuple[NDArray, ...]:
-    """Inverse of `pack_means` for the block shapes of ``h``."""
-    sizes = [h.obs.param_dim, h.lat.param_dim, len(h.cat_params), h.obs_interaction.size]
-    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = np.split(flat, np.cumsum(sizes))
-    return (
-        eta_obs,
-        eta_lat,
-        eta_cat,
-        cross_xy.reshape(h.obs_interaction.shape),
-        cross_yz.reshape(h.lat_interaction.shape),
-    )
+    return pack_means(*hmog_posterior_pass(h, xs).target)
 
 
 def hmog_em_iteration(
@@ -560,7 +548,7 @@ def hmog_em_iteration(
     if len(xs) == 0:
         raise ValueError("EM requires a nonempty dataset")
     before = posterior_pass if posterior_pass is not None else hmog_posterior_pass(h, xs)
-    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = _split_means(h, before.target)
+    eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = before.target
     lgm = lgm_backward(h.obs, h.lat, eta_obs, eta_lat, cross_xy)
     mog = mixture_backward(h.lat, eta_lat, eta_cat, cross_yz)
     updated = assemble_hmog(lgm, mog)

@@ -26,9 +26,12 @@ read every component's mean and covariance off the prepared factors. The
 backward map and `mog_from_standard` invert all component covariances
 with one stacked `families._spd_inverse` and take the categorical
 parameters from the moments they hold, ``psi_z = 1/2 mu_z . theta_mu(z) +
-1/2 log|Sigma_z|``, with no candidate model to factor. Only `mog_sample`
-and the jitter rescue of a failed conversion visit components one at a
-time.
+1/2 log|Sigma_z|``, with no candidate model to factor.
+
+A component that is not positive-definite (a collapsed one, say) raises
+DomainError naming it; nothing is regularized. Only `mog_sample`, which
+draws each component's points in turn, and `_factor_components`, which
+names a failure, visit components one at a time.
 """
 
 from __future__ import annotations
@@ -183,19 +186,14 @@ def mixture_forward(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:
 
 
 def mixture_backward(
-    lat: MultivariateNormal,
-    eta_y: NDArray,
-    eta_z: NDArray,
-    cross: NDArray,
-    jitter: float = 0.0,
+    lat: MultivariateNormal, eta_y: NDArray, eta_z: NDArray, cross: NDArray
 ) -> MixtureModel:
     """Backward mapping from mean coordinates to a MixtureModel.
 
     Inverts `mixture_forward`: recovers component weights and
     per-component moments and hands them to `_mixture_from_moments`. A
     component whose covariance loses positive-definiteness raises
-    DomainError naming the first such component; with ``jitter > 0``
-    those components alone get an additive ``jitter * I`` instead.
+    DomainError naming the first such component.
     """
     eta_z = np.asarray(eta_z, dtype=float)
     w1 = 1.0 - float(np.sum(eta_z))
@@ -204,33 +202,40 @@ def mixture_backward(
     comp_means = np.vstack([(eta_y - cross.sum(axis=1)) / w1, (cross / eta_z).T])
     mu, second = lat.split_mean(comp_means)
     sigma = second - mu[:, :, None] * mu[:, None, :]
-    return _mixture_from_moments(lat, mu, sigma, eta_z, jitter)
+    return _mixture_from_moments(lat, mu, sigma, eta_z)
+
+
+def _factor_components(factor, matrices: NDArray, what: str):
+    """``factor(matrices, what)`` of a stack of component matrices (k, m, m).
+
+    ``factor`` is `families._cholesky` or `families._spd_inverse`. Only
+    when the stacked factorization fails are the components factored one
+    at a time, to raise DomainError ``component z <what> is not
+    positive-definite`` for the first that fails, a non-finite one
+    included.
+    """
+    try:
+        return factor(matrices, what)
+    except DomainError:
+        for z, matrix in enumerate(matrices, start=1):
+            try:
+                _cholesky(matrix, what)
+            except DomainError:
+                raise DomainError(
+                    f"component {z} {what} is not positive-definite"
+                ) from None
+        raise
 
 
 def _mixture_from_moments(
-    lat: MultivariateNormal, mu: NDArray, sigma: NDArray, eta_z: NDArray, jitter: float
+    lat: MultivariateNormal, mu: NDArray, sigma: NDArray, eta_z: NDArray
 ) -> MixtureModel:
     """The mixture of component means (k, m), covariances (k, m, m), weights 2..k.
 
     The categorical parameters solve the conjugation equation,
     ``theta_Z = to_natural(eta_z) - (psi_z - psi_1)`` over ``z = 2..k``.
     """
-    try:
-        inverse, logdet = _spd_inverse(sigma, "covariance")
-    except DomainError:
-        # Retry one component at a time, so healthy components come out as
-        # the stacked conversion gives them and only failures are jittered.
-        inverse, logdet = np.empty_like(sigma), np.empty(len(sigma))
-        for idx in range(len(sigma)):
-            try:
-                inverse[idx], logdet[idx] = _spd_inverse(sigma[idx], "covariance")
-            except DomainError:
-                if jitter <= 0.0:
-                    raise DomainError(
-                        f"component {idx + 1} covariance is not positive-definite"
-                    ) from None
-                jittered = sigma[idx] + jitter * np.eye(lat.dim)
-                inverse[idx], logdet[idx] = _spd_inverse(jittered, "covariance")
+    inverse, logdet = _factor_components(_spd_inverse, sigma, "covariance")
     first = (inverse @ mu[..., None])[..., 0]
     naturals = lat.join_natural(first, -0.5 * inverse)
     psi = 0.5 * np.sum(mu * first, axis=1) + 0.5 * logdet
@@ -276,22 +281,15 @@ class PreparedMixture:
 def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
     """Factor every component precision with one stacked Cholesky.
 
-    Raises DomainError for non-finite parameters; when a precision is not
-    positive-definite it names the component with the most negative
-    eigenvalue.
+    Raises DomainError for non-finite parameters, or naming the first
+    component whose precision is not positive-definite.
     """
     k, m = model.num_components, model.dim
     naturals = np.vstack([model.base_params, model.base_params + model.interaction.T])
     if not (np.all(np.isfinite(naturals)) and np.all(np.isfinite(model.cat_params))):
         raise DomainError("non-finite mixture parameters")
     precisions = -2.0 * model.lat.split_natural(naturals)[1]
-    try:
-        lower = _cholesky(precisions, "precision")
-    except DomainError:
-        worst = int(np.argmin(np.linalg.eigvalsh(precisions)[:, 0])) + 1
-        raise DomainError(
-            f"component {worst}: precision is not positive-definite"
-        ) from None
+    lower = _factor_components(_cholesky, precisions, "precision")
     whiten = np.linalg.inv(lower).transpose(0, 2, 1)
     logdets = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
     offsets = np.einsum("ki,kij->kj", naturals[:, :m], whiten)
@@ -492,15 +490,15 @@ def mog_statistics(lat: MultivariateNormal, ys: NDArray) -> tuple[NDArray, NDArr
 
 
 def mog_em_step_from_statistics(
-    model: MixtureModel, stats: NDArray, mean_stats: NDArray, jitter: float = 0.0
+    model: MixtureModel, stats: NDArray, mean_stats: NDArray
 ) -> MixtureModel:
     """One closed-form EM step on `mog_statistics` of the observed features.
 
     Index posteriors come from the categorical forward mapping at
     ``theta_Z + s_Y(y) . Theta_YZ``; their averages with the fixed
     statistics go to the mixture backward mapping. The training
-    log-likelihood is nondecreasing. ``jitter`` (off by default) rescues
-    components whose weighted covariance loses positive-definiteness.
+    log-likelihood is nondecreasing. A component whose weighted
+    covariance loses positive-definiteness raises DomainError naming it.
     """
     if len(stats) < model.num_components:
         raise ValueError("need at least as many samples as mixture components")
@@ -510,17 +508,16 @@ def mog_em_step_from_statistics(
         mean_stats,
         posteriors.mean(axis=0),
         stats.T @ posteriors / len(stats),
-        jitter=jitter,
     )
 
 
-def mog_em_step(model: MixtureModel, data: NDArray, jitter: float = 0.0) -> MixtureModel:
+def mog_em_step(model: MixtureModel, data: NDArray) -> MixtureModel:
     """One closed-form EM step on observed features.
 
     Computes `mog_statistics` of ``data`` and runs
     `mog_em_step_from_statistics` on them.
     """
-    return mog_em_step_from_statistics(model, *mog_statistics(model.lat, data), jitter)
+    return mog_em_step_from_statistics(model, *mog_statistics(model.lat, data))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +540,7 @@ def mog_from_standard(
             f"expected covariances of shape {means.shape + (lat.dim,)}, "
             f"got {covariances.shape}"
         )
-    return _mixture_from_moments(lat, means, covariances, mix_weights[1:], jitter=0.0)
+    return _mixture_from_moments(lat, means, covariances, mix_weights[1:])
 
 
 def mog_to_standard(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:

@@ -100,13 +100,6 @@ __all__ = [
 
 METHODS = ("two_stage_pca", "two_stage_fa", "hmog_pca", "hmog_fa")
 
-# Rescue jitter for mixture EM inside the training drivers. Component
-# covariances occasionally collapse when an initialization draw lands in a
-# low-density region; the additive rescue only activates on factorization
-# failure, so clean runs are bit-identical with or without it.
-STAGE2_JITTER = 1e-6
-
-
 def _structure(method: str) -> Structure:
     """Observable noise structure of a method: shared (PCA) or per-coordinate (FA)."""
     return Structure.ISOTROPIC if method.endswith("pca") else Structure.DIAGONAL
@@ -488,7 +481,7 @@ def _two_stage_single(
     stage2 = []
     try:
         for _ in range(cfg.stage2_iters):
-            mog = mog_em_step_from_statistics(mog, *features, jitter=STAGE2_JITTER)
+            mog = mog_em_step_from_statistics(mog, *features)
             model = assemble_hmog(lgm, mog)
             stage2.append(
                 hmog_mean_log_likelihood_from_terms(model, shifts, moments.statistic)
@@ -743,7 +736,7 @@ def model_from_dict(payload: dict) -> Hmog:
         if not isinstance(value, dict):
             raise ValueError(f"{name}: expected an object, got {type(value).__name__}")
     for key in ("n", "m", "k"):
-        if not isinstance(dims.get(key), int) or dims[key] < 1:
+        if type(dims.get(key)) is not int or dims[key] < 1:  # a JSON true is an int too
             raise ValueError(f"dims.{key}: expected a positive integer, got {dims.get(key)!r}")
     n, m, k = dims["n"], dims["m"], dims["k"]
     obs = MultivariateNormal(n, _structure(method))

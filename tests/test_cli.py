@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,24 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"hmog: error: {data}: non-numeric cell at row 2, column 3: 'setosa'\n"
         )
+
+    def test_collapsing_fit_reported(self, tmp_path, capsys):
+        """Three distinct rows and three clusters: every restart collapses."""
+        data = tmp_path / "atoms.csv"
+        rows = ["0.0,1.0,2.0", "3.0,-1.0,0.5", "-2.0,4.0,1.0"] * 20
+        data.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+        code = main([
+            "fit", "--input", str(data), "--method", "two-stage-pca",
+            "--latent-dim", "2", "--clusters", "3", "--restarts", "2",
+            "--seed", "0", "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert re.fullmatch(
+            r"hmog: error: all 2 restarts failed; last error: stage 2 EM failed: "
+            r"component \d covariance is not positive-definite\n",
+            capsys.readouterr().err,
+        )
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestProjectClassify:
@@ -268,6 +287,21 @@ class TestMalformedModel:
         assert err.startswith("hmog: error: ")
         assert err.count("\n") == 1
         assert "expected an object, got list" in err
+
+    def test_bool_dimension_reported(self, fitted_model, synth_csv, tmp_path, capsys):
+        """A JSON ``true`` is not a dimension, although Python counts it an int."""
+        bad = tmp_path / "bad.json"
+        payload = json.loads(fitted_model.read_text(encoding="utf-8"))
+        payload["dims"]["m"] = True
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code = main([
+            "project", "--model", str(bad), "--input", str(synth_csv),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "hmog: error: dims.m: expected a positive integer, got True\n"
+        )
 
 
 def test_import_loads_no_scipy():

@@ -14,7 +14,6 @@ from hmog import pipeline as pl
 from hmog.families import DomainError, Structure
 from hmog.optim import AdamConfig
 from hmog.pipeline import (
-    STAGE2_JITTER,
     CvReport,
     Dataset,
     FitConfig,
@@ -240,7 +239,7 @@ class TestFitTwoStage:
         projected = lg.lgm_project_batch(lgm, data.points)
         mog = init_mog(projected, cfg.clusters, cfg.seed)
         for score in report.stages[1].log_likelihoods:
-            mog = mx.mog_em_step(mog, projected, jitter=STAGE2_JITTER)
+            mog = mx.mog_em_step(mog, projected)
             model = hh.assemble_hmog(lgm, mog)
             assert abs(score - hh.hmog_mean_log_likelihood(model, data.points)) <= 1e-12
             per_point = float(np.mean(hh.hmog_log_densities(model, data.points)))
@@ -395,6 +394,19 @@ class TestRestartLoop:
         _fail_in_restarts(monkeypatch, name, seeds=[0], error=ValueError)
         with pytest.raises(ValueError, match="^injected$"):
             fit_model(data, small_cfg("hmog_pca", restarts=2))
+
+    @pytest.mark.parametrize("method", ["two_stage_fa", "hmog_pca"])
+    def test_collapsing_components_fail_every_restart(self, method):
+        """Three distinct points and three clusters: a component collapses."""
+        atoms = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5], [-2.0, 4.0, 1.0]])
+        data = np.repeat(atoms, 20, axis=0)
+        cfg = small_cfg(method, latent_dim=2, clusters=3, restarts=3)
+        with pytest.raises(
+            DomainError,
+            match=r"^all 3 restarts failed; last error: stage 2 EM failed: "
+            r"component \d covariance is not positive-definite$",
+        ):
+            fit_model(data, cfg)
 
     @pytest.mark.parametrize("method", ["two_stage_pca", "hmog_pca"])
     def test_tie_goes_to_lowest_restart(self, synthetic_data, monkeypatch, method):
@@ -580,6 +592,16 @@ class TestSerialization:
         truth, _ = synthetic_data
         payload = mangle(model_to_dict(truth, "hmog_fa", seed=3))
         with pytest.raises(ValueError, match=f"^{field}: expected an object, got list$"):
+            model_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["n", "m", "k"])
+    def test_bool_dimension_rejected(self, synthetic_data, key):
+        truth, _ = synthetic_data
+        payload = model_to_dict(truth, "hmog_fa", seed=3)
+        payload["dims"][key] = True
+        with pytest.raises(
+            ValueError, match=f"^dims.{key}: expected a positive integer, got True$"
+        ):
             model_from_dict(payload)
 
     def test_block_length_checked(self, synthetic_data):
