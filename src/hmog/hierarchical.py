@@ -19,14 +19,15 @@ feature moments to the observable blocks.
 Each model is prepared once, on first use (`Hmog.prepared`): the feature
 prior and the feature posterior mixtures with their stacked component
 factors, and the joint log-partition. Every per-point computation is then
-one pass of the shifted posterior mixture kernel
-(`mixture.mixture_posterior_stats` and its lighter wrappers) at the
-shifts ``x @ W``: log-densities, cluster posteriors, projections (feature
-means only, no second moments), and the fused log-likelihood plus E-step
-target (`hmog_posterior_pass`). The kernel streams over blocks of
-`mixture.BLOCK_ROWS` rows and adds up its data sums across blocks in a
-fixed order; beyond those sums, a pass holds only the (N, m) shifts and
-feature means and its (N,) or (N, k) outputs, whatever N is. Mean
+one pass of the shifted posterior mixture kernel at the shifts ``x @ W``,
+through the `mixture` wrapper that returns only what the caller reads:
+log-densities (`shifted_log_partition`), cluster posteriors
+(`shifted_posteriors`), projections (`shifted_feature_means`, no second
+moments), and the fused log-likelihood plus E-step target
+(`mixture_posterior_stats`, in `hmog_posterior_pass`). The kernel streams
+over blocks of `mixture.BLOCK_ROWS` rows and adds up its data sums across
+blocks in a fixed order; beyond those sums, a pass holds only the (N, m)
+shifts and its own per-point outputs, whatever N is. Mean
 log-likelihoods take the observable term from the mean statistic, so the
 fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
 Model blocks must not be mutated in place once the prepared state exists.

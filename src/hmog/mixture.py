@@ -11,15 +11,15 @@ Each model factors its component precisions once, with one stacked
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
 one product of the shifts with the stacked whitening maps, a max-shift
-log-sum-exp over the component logits, and, on request, the posterior
-feature means alone or with the data-summed per-component statistics. The
-pass streams over fixed blocks of ``BLOCK_ROWS`` rows in their order:
-per-point outputs are written block by block, and the data sums are added
-up across blocks in that fixed order, so no temporary grows with the
-batch beyond the outputs and results stay bit-stable from run to run. A
-batch of at most ``BLOCK_ROWS`` rows is a single block and takes exactly
-the operations of an unblocked pass. The conjugation parameters are read
-off the same factors.
+log-sum-exp over the component logits, and then only the outputs its
+caller reads: log-partitions, index posteriors, posterior feature means,
+or log-partitions and feature means with the data-summed per-component
+statistics. Every batch streams through one loop over fixed blocks of
+``BLOCK_ROWS`` rows in their order: per-point outputs are written block
+by block, and the data sums are added up across blocks in that fixed
+order, so no temporary grows with the batch beyond the outputs and
+results stay bit-stable from run to run. The conjugation parameters are
+read off the same factors.
 
 Component conversions are stacked: the forward map and `mog_to_standard`
 read every component's mean and covariance off the prepared factors. The
@@ -306,24 +306,21 @@ def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
 
 @dataclass(frozen=True)
 class MixturePosterior:
-    """One pass of a mixture under per-sample first-order base shifts.
+    """The statistics pass of a mixture under per-sample first-order base shifts.
 
     ``log_partition`` is the shifted joint log-partition per sample (N,)
-    and ``probabilities`` the index posteriors (N, k). With means or
-    statistics requested, ``feature_means`` holds the posterior feature
-    means E[y | .] (N, m). With statistics requested, the data-summed
-    statistics per component follow: ``weights`` (k,) is the summed
-    responsibility and ``component_stats`` (k, s_Y) the summed
+    and ``feature_means`` the posterior feature means E[y | .] (N, m). The
+    data-summed statistics per component follow: ``weights`` (k,) is the
+    summed responsibility and ``component_stats`` (k, s_Y) the summed
     responsibility-weighted flat Gaussian mean statistics, i.e. the flat
     packing of ``sum p mu`` and ``sum p mu mu^T + weight Sigma``. No
     per-sample statistic tensors are formed.
     """
 
     log_partition: NDArray
-    probabilities: NDArray
-    feature_means: NDArray | None = None
-    weights: NDArray | None = None
-    component_stats: NDArray | None = None
+    feature_means: NDArray
+    weights: NDArray
+    component_stats: NDArray
 
 
 # Rows of shifts per kernel block. A block's whitened terms and weighted
@@ -333,55 +330,30 @@ class MixturePosterior:
 BLOCK_ROWS = 1024
 
 
-def _shifted_pass(
-    model: MixtureModel, shifts: NDArray, need: str = "partition"
-) -> MixturePosterior:
+def _shifted_pass(model: MixtureModel, shifts: NDArray, need: str) -> list[NDArray]:
     """The posterior kernel, streamed over fixed blocks of rows.
 
-    ``need`` is ``"partition"`` (log-partitions and index posteriors only),
-    ``"means"`` (also the posterior feature means) or ``"stats"`` (also the
-    data-summed per-component statistics). The rows of ``shifts`` are taken
-    ``BLOCK_ROWS`` at a time, in order: per-point outputs are written block
-    by block, and the sums of the statistics are added up across blocks in
-    that fixed order, then mapped back once. A batch of at most
-    ``BLOCK_ROWS`` rows is one block whose arrays are the outputs as they
-    are, so it takes exactly the operations of an unblocked pass. No
-    temporary grows with N beyond the outputs.
+    Returns the outputs of ``need``: ``"partition"`` the log-partitions,
+    ``"posteriors"`` the index posteriors, ``"means"`` the posterior feature
+    means, and ``"stats"`` the log-partitions, the feature means and the
+    three whitened sums of `_kernel_block`. The rows of ``shifts`` are taken
+    ``BLOCK_ROWS`` at a time, in order (an empty batch is one empty block):
+    per-point outputs are written block by block, and the sums are added up
+    across blocks in that fixed order, from the first block's as they are.
+    No temporary grows with N beyond the outputs.
     """
-    prep = model.prepared
-    shifts = np.asarray(shifts, dtype=float)
-    count, k, m = len(shifts), model.num_components, model.dim
-    if count <= BLOCK_ROWS:
-        log_partition, probs, means, sums = _kernel_block(prep, shifts, need)
-    else:
-        log_partition, probs = np.empty(count), np.empty((count, k))
-        means = None if need == "partition" else np.empty((count, m))
-        sums = None
-        for start in range(0, count, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            psi, post, mu, part = _kernel_block(prep, shifts[rows], need)
-            log_partition[rows], probs[rows] = psi, post
-            if means is not None:
-                means[rows] = mu
-            if part is not None:
-                sums = part if sums is None else [a + b for a, b in zip(sums, part)]
-    if need != "stats":
-        return MixturePosterior(log_partition, probs, feature_means=means)
-
-    weights, white_sum, outer = sums
-    # the weight times the identity that whitening turns the shared
-    # covariance into
-    outer += weights[:, None, None] * np.eye(m)
-    whiten = prep.whiten
-    first = np.einsum("kj,kij->ki", white_sum, whiten)
-    second = whiten @ outer @ whiten.transpose(0, 2, 1)
-    return MixturePosterior(
-        log_partition=log_partition,
-        probabilities=probs,
-        feature_means=means,
-        weights=weights,
-        component_stats=model.lat.join_mean(first, second),
-    )
+    prep, shifts = model.prepared, np.asarray(shifts, dtype=float)
+    outputs = sums = None
+    for start in range(0, max(len(shifts), 1), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        values, part = _kernel_block(prep, shifts[rows], need)
+        if outputs is None:
+            outputs = [np.empty((len(shifts), *value.shape[1:])) for value in values]
+        for output, value in zip(outputs, values):
+            output[rows] = value
+        if part is not None:
+            sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+    return outputs if sums is None else [*outputs, *sums]
 
 
 def _kernel_block(prep: PreparedMixture, shifts: NDArray, need: str):
@@ -390,26 +362,28 @@ def _kernel_block(prep: PreparedMixture, shifts: NDArray, need: str):
     The whitened first-order terms ``(theta_mu(z) + shift) @ whiten_z`` of all
     components come from one product against the side-by-side whitening
     maps; half their squared norms plus the bias are the index logits.
-    Returns ``(log_partition, probabilities, feature_means, sums)``, where
-    ``sums`` are the block's summed responsibilities, whitened first
-    moments and whitened outer products ``sum_n p u u^T`` per component.
+    Returns the block's per-point outputs of ``need`` and, for
+    ``"stats"``, its summed responsibilities, whitened first moments and
+    whitened outer products ``sum_n p u u^T`` per component.
     """
     k, m = prep.whiten.shape[:2]
     white = shifts @ prep.whiten_wide + prep.offsets
     logits = prep.bias + 0.5 * ((white * white) @ prep.blocks)
     log_partition, probs = normalize_logits(logits)
     if need == "partition":
-        return log_partition, probs, None, None
+        return [log_partition], None
+    if need == "posteriors":
+        return [probs], None
 
     count = len(shifts)
     white = white.reshape(count, k, m)
     weighted = probs[:, :, None] * white
     feature_means = weighted.reshape(count, k * m) @ prep.unwhiten_tall
     if need == "means":
-        return log_partition, probs, feature_means, None
+        return [feature_means], None
     outer = np.matmul(weighted.transpose(1, 2, 0), white.transpose(1, 0, 2))
     sums = [np.sum(probs, axis=0), np.sum(weighted, axis=0), outer]
-    return log_partition, probs, feature_means, sums
+    return [log_partition, feature_means], sums
 
 
 def _component_moments(model: MixtureModel) -> tuple[NDArray, NDArray]:
@@ -422,22 +396,36 @@ def _component_moments(model: MixtureModel) -> tuple[NDArray, NDArray]:
 
 def shifted_log_partition(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Joint log-partition under per-sample first-order base shifts."""
-    return _shifted_pass(model, shifts).log_partition
+    return _shifted_pass(model, shifts, "partition")[0]
 
 
 def shifted_posteriors(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Index posteriors (N, k) under per-sample first-order base shifts."""
-    return _shifted_pass(model, shifts).probabilities
+    return _shifted_pass(model, shifts, "posteriors")[0]
 
 
 def shifted_feature_means(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Posterior feature means (N, m) under per-sample first-order base shifts."""
-    return _shifted_pass(model, shifts, need="means").feature_means
+    return _shifted_pass(model, shifts, "means")[0]
 
 
 def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePosterior:
     """The shifted pass with feature means and data-summed statistics."""
-    return _shifted_pass(model, shifts, need="stats")
+    log_partition, feature_means, weights, white_sum, outer = _shifted_pass(
+        model, shifts, "stats"
+    )
+    # the weight times the identity that whitening turns the shared
+    # covariance into
+    outer += weights[:, None, None] * np.eye(model.dim)
+    whiten = model.prepared.whiten
+    first = np.einsum("kj,kij->ki", white_sum, whiten)
+    second = whiten @ outer @ whiten.transpose(0, 2, 1)
+    return MixturePosterior(
+        log_partition=log_partition,
+        feature_means=feature_means,
+        weights=weights,
+        component_stats=model.lat.join_mean(first, second),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +540,8 @@ def mog_sample(
     model: MixtureModel, size: int, rng: np.random.Generator
 ) -> tuple[NDArray, NDArray]:
     """Ancestral draws ``(features, component indices)``."""
-    w = np.clip(mixture_weights(model), 0.0, None)
-    zs = rng.choice(model.num_components, size=size, p=w / w.sum()) + 1
+    conj = mixture_conjugation_parameters(model)
+    zs = model.cat.sample(model.cat_params + conj.rho, size, rng)
     ys = np.empty((size, model.dim))
     for z in range(1, model.num_components + 1):
         mask = zs == z

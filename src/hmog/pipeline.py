@@ -516,10 +516,15 @@ def _fit(
             if unified:
                 stages.append([])
                 current = None
-                for _ in range(cfg.hmog_iters):
-                    model, diag = hmog_em_iteration(model, points, posterior_pass=current)
-                    current = diag.posterior_pass
-                    stages[-1].append(diag.log_likelihood_after)
+                try:
+                    for _ in range(cfg.hmog_iters):
+                        model, diag = hmog_em_iteration(
+                            model, points, posterior_pass=current
+                        )
+                        current = diag.posterior_pass
+                        stages[-1].append(diag.log_likelihood_after)
+                except DomainError as exc:
+                    raise DomainError(f"unified EM failed: {exc}") from exc
         except DomainError as exc:
             # A restart that walks into a degenerate attractor (component
             # collapse) is a failed local attempt; keep the survivors.

@@ -378,7 +378,8 @@ class TestRestartLoop:
     @pytest.mark.parametrize(
         "method, name, error",
         [("two_stage_pca", STAGE2_STEP, "stage 2 EM failed: injected"),
-         ("hmog_pca", "hmog_em_iteration", "injected")],
+         pytest.param("hmog_pca", "hmog_em_iteration", "unified EM failed: injected",
+                      id="hmog_pca-hmog_em_iteration-injected")],
     )
     def test_all_restarts_failed(self, synthetic_data, monkeypatch, method, name, error):
         _, data = synthetic_data
@@ -407,6 +408,27 @@ class TestRestartLoop:
             r"component \d covariance is not positive-definite$",
         ):
             fit_model(data, cfg)
+
+    @pytest.mark.parametrize("method", pl.METHODS)
+    def test_row_order_does_not_change_the_fit(self, synthetic_data, method):
+        """Permuted rows pick the same restart and reach the same fit.
+
+        Only the order of float sums over the data changes, so trajectories
+        and parameters agree to reassociation error.
+        """
+        _, data = synthetic_data
+        cfg = small_cfg(method, restarts=3)
+        order = np.random.default_rng(7).permutation(len(data.points))
+        model, report = fit_model(data.points, cfg)
+        permuted, permuted_report = fit_model(data.points[order], cfg)
+        assert permuted_report.restart_index == report.restart_index
+        for stage, permuted_stage in zip(report.stages, permuted_report.stages):
+            np.testing.assert_allclose(
+                permuted_stage.log_likelihoods, stage.log_likelihoods, rtol=0, atol=1e-10
+            )
+        np.testing.assert_allclose(
+            hh.pack_params(permuted), hh.pack_params(model), rtol=1e-10, atol=1e-10
+        )
 
     @pytest.mark.parametrize("method", ["two_stage_pca", "hmog_pca"])
     def test_tie_goes_to_lowest_restart(self, synthetic_data, monkeypatch, method):
@@ -560,6 +582,18 @@ class TestSerialization:
         np.testing.assert_allclose(
             hh.pack_params(loaded), hh.pack_params(truth), atol=0
         )
+
+    @pytest.mark.parametrize("method", pl.METHODS)
+    def test_fitted_model_saves_identically_after_load(
+        self, tmp_path, synthetic_data, method
+    ):
+        """Save, load and save again: the two files are byte-identical."""
+        _, data = synthetic_data
+        model, _ = fit_model(data, small_cfg(method, restarts=2))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, method, seed=0, path=first)
+        save_model(load_model(first), method, seed=0, path=second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_model_dict_schema(self, synthetic_data):
         truth, _ = synthetic_data
