@@ -24,15 +24,12 @@ from .hierarchical import (
     HmogEmDiagnostics,
     assemble_hmog,
     disassemble_hmog,
-    hmog_classify,
     hmog_classify_batch,
     hmog_em_iteration,
     hmog_forward,
     hmog_joint_log_density,
     hmog_log_densities,
     hmog_mean_log_likelihood,
-    hmog_observable_log_density,
-    hmog_project,
     hmog_project_batch,
     hmog_sample,
 )
@@ -43,8 +40,6 @@ from .linear_gaussian import (
     lgm_forward,
     lgm_from_standard,
     lgm_log_densities,
-    lgm_observable_log_density,
-    lgm_project,
     lgm_project_batch,
     lgm_sample,
     lgm_to_standard,
@@ -57,8 +52,6 @@ from .mixture import (
     mog_em_step,
     mog_from_standard,
     mog_log_densities,
-    mog_observable_log_density,
-    mog_posterior,
     mog_sample,
     mog_to_standard,
 )

@@ -47,6 +47,7 @@ __all__ = [
     "DomainError",
     "Categorical",
     "MultivariateNormal",
+    "log_sum_exp",
     "normalize_logits",
 ]
 
@@ -98,19 +99,36 @@ def _spd_inverse(matrix: NDArray, context: str) -> tuple[NDArray, NDArray]:
     return np.swapaxes(inv_lower, -1, -2) @ inv_lower, logdet
 
 
-def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
-    """Row-wise log-sum-exp and softmax of finite logits (N, k).
+def _exp_shifted(logits: NDArray) -> tuple[NDArray, NDArray]:
+    """``logits`` (k, N) becomes ``exp(logits - column max)`` in place.
 
-    The row maximum is factored out before exponentiating, so no entry
-    overflows and the largest is exactly ``exp(0)``. The work runs on the
-    (k, N) transpose, where reductions over the short category axis are
-    elementwise across long rows.
+    Returns the column log-sum-exp and the column sums of the exponentials.
+    The maximum is factored out before exponentiating, so no entry
+    overflows and the largest is exactly ``exp(0)``.
     """
-    cols = np.ascontiguousarray(np.transpose(logits))
-    top = np.max(cols, axis=0)
-    expd = np.exp(cols - top)
-    total = np.sum(expd, axis=0)
-    return top + np.log(total), np.transpose(expd / total)
+    top = np.max(logits, axis=0)
+    logits -= top
+    np.exp(logits, out=logits)
+    total = np.sum(logits, axis=0)
+    return top + np.log(total), total
+
+
+def log_sum_exp(logits: NDArray) -> NDArray:
+    """Column-wise log-sum-exp (N,) of finite logits (k, N), which it overwrites."""
+    return _exp_shifted(logits)[0]
+
+
+def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
+    """Column-wise log-sum-exp and softmax of finite logits (k, N), in place.
+
+    The categories run down the short first axis and the points along the
+    long last one, so every reduction is elementwise across contiguous
+    rows. Returns the log-sum-exp (N,) and the posteriors (k, N), which
+    are ``logits`` itself, overwritten; nothing is transposed or copied.
+    """
+    lse, total = _exp_shifted(logits)
+    logits /= total
+    return lse, logits
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +186,17 @@ class Categorical:
         return float(self.log_partition_batch(theta[None, :])[0])
 
     def _padded(self, thetas: NDArray) -> NDArray:
-        """Logits of all categories: the reference category's is zero."""
+        """Logits (k, N) of all categories for rows of ``thetas`` (N, k - 1).
+
+        The reference category's row is zero.
+        """
         thetas = np.asarray(thetas, dtype=float)
-        return np.concatenate([np.zeros((thetas.shape[0], 1)), thetas], axis=1)
+        logits = np.zeros((self.num_categories, thetas.shape[0]))
+        logits[1:] = thetas.T
+        return logits
 
     def log_partition_batch(self, thetas: NDArray) -> NDArray:
-        return normalize_logits(self._padded(thetas))[0]
+        return log_sum_exp(self._padded(thetas))
 
     def to_mean(self, theta: NDArray) -> NDArray:
         """Forward mapping: eta_i = exp(theta_i) / (1 + sum_j exp(theta_j))."""
@@ -181,11 +204,12 @@ class Categorical:
         return np.exp(np.asarray(theta, dtype=float) - psi)
 
     def to_mean_batch(self, thetas: NDArray) -> NDArray:
-        return normalize_logits(self._padded(thetas))[1][:, 1:]
+        """Probability rows (N, num_categories - 1) of the non-reference categories."""
+        return normalize_logits(self._padded(thetas))[1][1:].T
 
     def probabilities_batch(self, thetas: NDArray) -> NDArray:
         """Full probability rows (N, num_categories)."""
-        return normalize_logits(self._padded(thetas))[1]
+        return normalize_logits(self._padded(thetas))[1].T
 
     def to_natural(self, eta: NDArray) -> NDArray:
         """Backward mapping: theta_i = log(eta_i / (1 - sum_j eta_j))."""

@@ -77,7 +77,6 @@ __all__ = [
     "HmogEmDiagnostics",
     "hmog_log_partition",
     "hmog_joint_log_density",
-    "hmog_observable_log_density",
     "hmog_log_densities",
     "hmog_mean_log_likelihood_from_terms",
     "hmog_mean_log_likelihood",
@@ -85,9 +84,7 @@ __all__ = [
     "hmog_posterior_pass",
     "hmog_posterior_stats",
     "hmog_em_iteration",
-    "hmog_project",
     "hmog_project_batch",
-    "hmog_classify",
     "hmog_classify_batch",
     "assemble_hmog",
     "disassemble_hmog",
@@ -315,10 +312,6 @@ def hmog_log_densities(h: Hmog, xs: NDArray) -> NDArray:
     observed = h.obs.dot_statistics(h.obs_params, xs) + h.obs.log_base_measure(xs)
     posterior_psi = shifted_log_partition(h.prepared.posterior, xs @ h.obs_interaction)
     return observed + posterior_psi - h.prepared.log_partition
-
-
-def hmog_observable_log_density(h: Hmog, x: NDArray) -> float:
-    return float(hmog_log_densities(h, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _mean_log_likelihood(h: Hmog, eta_obs: NDArray, posterior_psi: NDArray) -> float:
@@ -577,18 +570,10 @@ def hmog_project_batch(h: Hmog, xs: NDArray) -> NDArray:
     return shifted_feature_means(h.prepared.posterior, shifts)
 
 
-def hmog_project(h: Hmog, x: NDArray) -> NDArray:
-    return hmog_project_batch(h, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def hmog_classify_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Cluster posteriors p(z | x), features marginalized out; rows sum to 1."""
     shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
     return shifted_posteriors(h.prepared.posterior, shifts)
-
-
-def hmog_classify(h: Hmog, x: NDArray) -> NDArray:
-    return hmog_classify_batch(h, np.asarray(x, dtype=float)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

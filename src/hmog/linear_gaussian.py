@@ -49,9 +49,7 @@ __all__ = [
     "lgm_conditional_forward",
     "lgm_backward",
     "lgm_em_step",
-    "lgm_project",
     "lgm_project_batch",
-    "lgm_observable_log_density",
     "lgm_log_densities",
     "lgm_mean_log_likelihood",
     "lgm_from_standard",
@@ -353,11 +351,6 @@ def lgm_project_batch(model: LinearGaussianModel, xs: NDArray) -> NDArray:
     return means
 
 
-def lgm_project(model: LinearGaussianModel, x: NDArray) -> NDArray:
-    """Posterior feature mean of one observation."""
-    return lgm_project_batch(model, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def lgm_log_densities(model: LinearGaussianModel, xs: NDArray) -> NDArray:
     """Observable log-density, evaluated through conjugation.
 
@@ -374,10 +367,6 @@ def lgm_log_densities(model: LinearGaussianModel, xs: NDArray) -> NDArray:
         - lgm_log_partition(model)
         + model.obs.log_base_measure(xs)
     )
-
-
-def lgm_observable_log_density(model: LinearGaussianModel, x: NDArray) -> float:
-    return float(lgm_log_densities(model, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def lgm_mean_log_likelihood(model: LinearGaussianModel, xs: NDArray) -> float:

@@ -10,16 +10,22 @@ Each model factors its component precisions once, with one stacked
 `families._cholesky`, into `MixtureModel.prepared`. Everything evaluated under
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
-one product of the shifts with the stacked whitening maps, a max-shift
+one product of the stacked whitening maps with the shifts, a max-shift
 log-sum-exp over the component logits, and then only the outputs its
 caller reads: log-partitions, index posteriors, posterior feature means,
 or log-partitions and feature means with the data-summed per-component
-statistics. Every batch streams through one loop over fixed blocks of
-``BLOCK_ROWS`` rows in their order: per-point outputs are written block
-by block, and the data sums are added up across blocks in that fixed
-order, so no temporary grows with the batch beyond the outputs and
-results stay bit-stable from run to run. The conjugation parameters are
-read off the same factors.
+statistics. Inside the kernel the points run along the last (contiguous)
+axis of every temporary: whitened terms (k m, B), logits and posteriors
+(k, B), so each per-component reduction is a sum of whole rows and
+nothing is transposed or copied between steps. Every batch streams
+through one loop over fixed blocks of ``BLOCK_ROWS`` points in their
+order: per-point outputs are written block by block, and the data sums
+are added up across blocks in that fixed order, so no temporary grows
+with the batch beyond the outputs and results stay bit-stable from run
+to run. The conjugation parameters are read off the same factors. Mixture
+EM on observed features (stage 2 of two-stage training) keeps the same
+layout: the feature statistics are stored one column per point, and the
+(k, N) index logits come from one product with them.
 
 Component conversions are stacked: the forward map and `mog_to_standard`
 read every component's mean and covariance off the prepared factors. The
@@ -49,6 +55,7 @@ from .families import (
     Structure,
     _cholesky,
     _spd_inverse,
+    log_sum_exp,
     normalize_logits,
 )
 from .harmonium import ConjugationParams, Harmonium
@@ -66,10 +73,7 @@ __all__ = [
     "shifted_posteriors",
     "shifted_feature_means",
     "mixture_posterior_stats",
-    "mog_observable_log_density",
     "mog_log_densities",
-    "mog_mean_log_likelihood",
-    "mog_posterior",
     "mog_posteriors",
     "mog_statistics",
     "mog_em_step_from_statistics",
@@ -259,23 +263,26 @@ class PreparedMixture:
 
     Component ``z`` has precision ``P_z = -2 Theta_z = L_z L_z^T``;
     ``whiten[z - 1]`` is ``L_z^{-T}``, so ``P_z^{-1} = whiten whiten^T``
-    and the quadratic form of a row vector ``v`` is ``|v @ whiten|^2``.
-    ``offsets`` holds the whitened first-order blocks ``theta_mu(z) @
-    whiten[z - 1]`` side by side (k m,); ``bias`` the shift-free part of
-    each index logit, ``theta_Z . s_Z(z) - 1/2 log|P_z|``; and
-    ``log_partitions`` the unshifted component log-partitions.
+    and the quadratic form of a vector ``v`` is ``|whiten^T v|^2``.
+    ``offsets`` stacks the whitened first-order blocks ``whiten[z - 1]^T
+    theta_mu(z)`` (k m,); ``bias`` is the shift-free part of each index
+    logit, ``theta_Z . s_Z(z) - 1/2 log|P_z|``; and ``log_partitions`` the
+    unshifted component log-partitions.
+
+    The kernel keeps points on the last axis, so it reads the whitening
+    maps in two layouts: ``whiten_tall`` (k m, m) stacks the transposed
+    maps, so that one product with shift columns (m, N) gives the whitened
+    terms of every component, rows ``(z - 1) m`` to ``z m - 1`` for
+    component ``z``; ``unwhiten_wide`` (m, k m) sets the maps side by side
+    and takes those rows back to feature space.
     """
 
     whiten: NDArray
     offsets: NDArray
     bias: NDArray
     log_partitions: NDArray
-    # The factors laid out for the kernel's single GEMM: the whitening maps
-    # side by side (m, k m), their transposes stacked (k m, m), and the
-    # block indicator (k m, k) that sums squares per component.
-    whiten_wide: NDArray
-    unwhiten_tall: NDArray
-    blocks: NDArray
+    whiten_tall: NDArray
+    unwhiten_wide: NDArray
 
 
 def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
@@ -298,9 +305,8 @@ def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
         offsets=offsets.reshape(k * m),
         bias=np.concatenate([[0.0], model.cat_params]) - 0.5 * logdets,
         log_partitions=0.5 * np.sum(offsets**2, axis=1) - 0.5 * logdets,
-        whiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
-        unwhiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
-        blocks=np.repeat(np.eye(k), m, axis=0),
+        whiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
+        unwhiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
     )
 
 
@@ -324,23 +330,25 @@ class MixturePosterior:
 
 
 # Rows of shifts per kernel block. A block's whitened terms and weighted
-# moments, (BLOCK_ROWS, k m) each, stay cache-sized; much larger blocks make
+# moments, (k m, BLOCK_ROWS) each, stay cache-sized; much larger blocks make
 # the pass bound by memory traffic. At k m = 40 and N = 1e5 (2-CPU x86_64,
-# OpenBLAS on one thread), 1024 rows beat 512, 2048 and 4096 on every need.
-BLOCK_ROWS = 1024
+# OpenBLAS on one thread, best of 12), 2048 rows beat 1024 by 4-11% on the
+# partition and posteriors needs and tie on means and stats; 4096 is slower.
+BLOCK_ROWS = 2048
 
 
 def _shifted_pass(model: MixtureModel, shifts: NDArray, need: str) -> list[NDArray]:
     """The posterior kernel, streamed over fixed blocks of rows.
 
-    Returns the outputs of ``need``: ``"partition"`` the log-partitions,
-    ``"posteriors"`` the index posteriors, ``"means"`` the posterior feature
-    means, and ``"stats"`` the log-partitions, the feature means and the
-    three whitened sums of `_kernel_block`. The rows of ``shifts`` are taken
+    Returns the outputs of ``need``, each with the points on its last axis:
+    ``"partition"`` the log-partitions (N,), ``"posteriors"`` the index
+    posteriors (k, N), ``"means"`` the posterior feature means (m, N), and
+    ``"stats"`` the log-partitions, the feature means and the three
+    whitened sums of `_kernel_block`. The rows of ``shifts`` are taken
     ``BLOCK_ROWS`` at a time, in order (an empty batch is one empty block):
-    per-point outputs are written block by block, and the sums are added up
-    across blocks in that fixed order, from the first block's as they are.
-    No temporary grows with N beyond the outputs.
+    per-point outputs are written block by block into their columns, and
+    the sums are added up across blocks in that fixed order, from the
+    first block's as they are. No temporary grows with N beyond the outputs.
     """
     prep, shifts = model.prepared, np.asarray(shifts, dtype=float)
     outputs = sums = None
@@ -348,9 +356,9 @@ def _shifted_pass(model: MixtureModel, shifts: NDArray, need: str) -> list[NDArr
         rows = slice(start, start + BLOCK_ROWS)
         values, part = _kernel_block(prep, shifts[rows], need)
         if outputs is None:
-            outputs = [np.empty((len(shifts), *value.shape[1:])) for value in values]
+            outputs = [np.empty((*value.shape[:-1], len(shifts))) for value in values]
         for output, value in zip(outputs, values):
-            output[rows] = value
+            output[..., rows] = value
         if part is not None:
             sums = part if sums is None else [a + b for a, b in zip(sums, part)]
     return outputs if sums is None else [*outputs, *sums]
@@ -359,30 +367,36 @@ def _shifted_pass(model: MixtureModel, shifts: NDArray, need: str) -> list[NDArr
 def _kernel_block(prep: PreparedMixture, shifts: NDArray, need: str):
     """One block of `_shifted_pass`: one GEMM, a max-shift log-sum-exp, sums.
 
-    The whitened first-order terms ``(theta_mu(z) + shift) @ whiten_z`` of all
-    components come from one product against the side-by-side whitening
-    maps; half their squared norms plus the bias are the index logits.
-    Returns the block's per-point outputs of ``need`` and, for
-    ``"stats"``, its summed responsibilities, whitened first moments and
-    whitened outer products ``sum_n p u u^T`` per component.
+    The points of the block run along the last axis of every temporary.
+    The whitened first-order terms ``whiten_z^T (theta_mu(z) + shift)`` of
+    all components, (k m, B), come from one product of the stacked
+    transposed whitening maps with the block's shifts; half their squared
+    norms, summed over each component's m rows, plus the bias are the
+    index logits (k, B). Returns the block's per-point outputs of
+    ``need`` and, for ``"stats"``, its summed responsibilities, whitened
+    first moments and whitened outer products ``sum_n p u u^T`` per
+    component.
     """
     k, m = prep.whiten.shape[:2]
-    white = shifts @ prep.whiten_wide + prep.offsets
-    logits = prep.bias + 0.5 * ((white * white) @ prep.blocks)
-    log_partition, probs = normalize_logits(logits)
+    count = len(shifts)
+    white = prep.whiten_tall @ shifts.T
+    white += prep.offsets[:, None]
+    white = white.reshape(k, m, count)
+    logits = np.einsum("kmb,kmb->kb", white, white)
+    logits *= 0.5
+    logits += prep.bias[:, None]
     if need == "partition":
-        return [log_partition], None
+        return [log_sum_exp(logits)], None
+    log_partition, probs = normalize_logits(logits)
     if need == "posteriors":
         return [probs], None
 
-    count = len(shifts)
-    white = white.reshape(count, k, m)
-    weighted = probs[:, :, None] * white
-    feature_means = weighted.reshape(count, k * m) @ prep.unwhiten_tall
+    weighted = probs[:, None, :] * white
+    feature_means = prep.unwhiten_wide @ weighted.reshape(k * m, count)
     if need == "means":
         return [feature_means], None
-    outer = np.matmul(weighted.transpose(1, 2, 0), white.transpose(1, 0, 2))
-    sums = [np.sum(probs, axis=0), np.sum(weighted, axis=0), outer]
+    outer = np.matmul(weighted, white.transpose(0, 2, 1))
+    sums = [np.sum(probs, axis=1), np.sum(weighted, axis=2), outer]
     return [log_partition, feature_means], sums
 
 
@@ -401,12 +415,12 @@ def shifted_log_partition(model: MixtureModel, shifts: NDArray) -> NDArray:
 
 def shifted_posteriors(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Index posteriors (N, k) under per-sample first-order base shifts."""
-    return _shifted_pass(model, shifts, "posteriors")[0]
+    return _shifted_pass(model, shifts, "posteriors")[0].T
 
 
 def shifted_feature_means(model: MixtureModel, shifts: NDArray) -> NDArray:
     """Posterior feature means (N, m) under per-sample first-order base shifts."""
-    return _shifted_pass(model, shifts, "means")[0]
+    return _shifted_pass(model, shifts, "means")[0].T
 
 
 def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePosterior:
@@ -422,7 +436,7 @@ def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePost
     second = whiten @ outer @ whiten.transpose(0, 2, 1)
     return MixturePosterior(
         log_partition=log_partition,
-        feature_means=feature_means,
+        feature_means=feature_means.T,
         weights=weights,
         component_stats=model.lat.join_mean(first, second),
     )
@@ -447,15 +461,6 @@ def mog_log_densities(model: MixtureModel, ys: NDArray) -> NDArray:
     )
 
 
-def mog_observable_log_density(model: MixtureModel, y: NDArray) -> float:
-    """log p(y) = log sum_z pi_z N(y; mu_z, Sigma_z)."""
-    return float(mog_log_densities(model, np.asarray(y, dtype=float)[None, :])[0])
-
-
-def mog_mean_log_likelihood(model: MixtureModel, ys: NDArray) -> float:
-    return float(np.mean(mog_log_densities(model, ys)))
-
-
 def mog_posteriors(model: MixtureModel, ys: NDArray) -> NDArray:
     """Index posteriors p(z | y) for a batch, shape ``(len(ys), k)``."""
     ys = np.asarray(ys, dtype=float)
@@ -463,18 +468,14 @@ def mog_posteriors(model: MixtureModel, ys: NDArray) -> NDArray:
     return model.cat.probabilities_batch(model.cat_params + stats @ model.interaction)
 
 
-def mog_posterior(model: MixtureModel, y: NDArray) -> NDArray:
-    return mog_posteriors(model, np.asarray(y, dtype=float)[None, :])[0]
-
-
 def mog_statistics(lat: MultivariateNormal, ys: NDArray) -> tuple[NDArray, NDArray]:
-    """Per-point feature sufficient statistics (N, s_Y) and their mean.
+    """Feature sufficient statistics (s_Y, N), one column per point, and their mean.
 
     They are all mixture EM needs from the data, so a run of steps on
     fixed points computes them once (`mog_em_step_from_statistics`).
     """
     stats = lat.sufficient_statistics(ys)
-    return stats, stats.mean(axis=0)
+    return stats.T, stats.mean(axis=0)
 
 
 def mog_em_step_from_statistics(
@@ -483,19 +484,25 @@ def mog_em_step_from_statistics(
     """One closed-form EM step on `mog_statistics` of the observed features.
 
     Index posteriors come from the categorical forward mapping at
-    ``theta_Z + s_Y(y) . Theta_YZ``; their averages with the fixed
+    ``theta_Z + s_Y(y) . Theta_YZ``: one product of the interaction with
+    the statistic columns fills rows ``2..k`` of the (k, N) logits, whose
+    first (reference) row is zero. Their averages with the fixed
     statistics go to the mixture backward mapping. The training
     log-likelihood is nondecreasing. A component whose weighted
     covariance loses positive-definiteness raises DomainError naming it.
     """
-    if len(stats) < model.num_components:
+    count = stats.shape[1]
+    if count < model.num_components:
         raise ValueError("need at least as many samples as mixture components")
-    posteriors = model.cat.to_mean_batch(model.cat_params + stats @ model.interaction)
+    logits = np.zeros((model.num_components, count))
+    np.matmul(model.interaction.T, stats, out=logits[1:])
+    logits[1:] += model.cat_params[:, None]
+    posteriors = normalize_logits(logits)[1][1:]
     return mixture_backward(
         model.lat,
         mean_stats,
-        posteriors.mean(axis=0),
-        stats.T @ posteriors / len(stats),
+        posteriors.mean(axis=1),
+        stats @ posteriors.T / count,
     )
 
 

@@ -438,11 +438,17 @@ class CvReport:
 def _fit_moments(points: NDArray, cfg: FitConfig) -> DataMoments:
     """The data moments every restart of one fit shares.
 
-    Degenerate data (fewer than two points, or a coordinate without
-    variance) fails here, before any restart.
+    Degenerate data (fewer than two points, fewer coordinates than latent
+    dimensions, or a coordinate without variance) fails here, before any
+    restart: projections of n-dimensional data span at most n feature
+    dimensions, so no restart of a larger latent space can succeed.
     """
     if len(points) < 2:
         raise ValueError("initialization needs at least two samples")
+    if cfg.latent_dim > points.shape[1]:
+        raise ValueError(
+            f"latent_dim {cfg.latent_dim} exceeds the data dimension {points.shape[1]}"
+        )
     moments = data_moments(MultivariateNormal(points.shape[1], cfg.structure), points)
     _check_variances(np.diag(moments.covariance))
     return moments

@@ -340,15 +340,15 @@ class TestCriterion4Oracles:
         )
         integrals = {}
         integrals["lgm"] = dblquad(
-            lambda x2, x1: math.exp(lg.lgm_observable_log_density(lgm, np.array([x1, x2]))),
+            lambda x2, x1: math.exp(lg.lgm_log_densities(lgm, np.array([[x1, x2]]))[0]),
             -15, 15, -15, 15, epsabs=1e-8,
         )[0]
         integrals["mog"] = dblquad(
-            lambda y2, y1: math.exp(mx.mog_observable_log_density(mog2, np.array([y1, y2]))),
+            lambda y2, y1: math.exp(mx.mog_log_densities(mog2, np.array([[y1, y2]]))[0]),
             -15, 15, -15, 15, epsabs=1e-8,
         )[0]
         integrals["hmog"] = dblquad(
-            lambda x2, x1: math.exp(hh.hmog_observable_log_density(model, np.array([x1, x2]))),
+            lambda x2, x1: math.exp(hh.hmog_log_densities(model, np.array([[x1, x2]]))[0]),
             -20, 20, -20, 20, epsabs=1e-8,
         )[0]
         worst = max(abs(v - 1.0) for v in integrals.values())

@@ -109,6 +109,20 @@ class TestFit:
             f"hmog: error: {data}: non-numeric cell at row 2, column 3: 'setosa'\n"
         )
 
+    def test_latent_dim_above_data_dimension_reported(self, tmp_path, capsys):
+        """Iris has 4 coordinates: a 5-dimensional fit fails before any restart."""
+        iris = Path(__file__).parent / "data" / "iris.csv"
+        code = main([
+            "fit", "--input", str(iris), "--label-col", "species",
+            "--method", "hmog-fa", "--latent-dim", "5", "--clusters", "3",
+            "--seed", "0", "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "hmog: error: latent_dim 5 exceeds the data dimension 4\n"
+        )
+        assert not (tmp_path / "model.json").exists()
+
     def test_collapsing_fit_reported(self, tmp_path, capsys):
         """Three distinct rows and three clusters: every restart collapses."""
         data = tmp_path / "atoms.csv"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.special import logsumexp, softmax
 
 from hmog.families import (
     Categorical,
@@ -14,6 +15,8 @@ from hmog.families import (
     MultivariateNormal,
     Structure,
     _spd_inverse,
+    log_sum_exp,
+    normalize_logits,
 )
 
 ALL_STRUCTURES = [Structure.FULL, Structure.DIAGONAL, Structure.ISOTROPIC]
@@ -129,6 +132,57 @@ class TestCategoricalMappings:
             Categorical(3).to_natural(np.array([0.0, 0.5]))
         with pytest.raises(DomainError):
             Categorical(2).to_natural(np.array([1.0]))
+
+
+class TestNormalizeLogits:
+    """Column-wise log-sum-exp and softmax of (k, N) logits against scipy."""
+
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("spread", [1.0, 700.0])
+    def test_matches_scipy(self, k, spread):
+        rng = np.random.default_rng(70 + k)
+        logits = rng.uniform(-spread, spread, size=(k, 300))
+        logits[:, :4] = rng.uniform(-spread, spread, size=4)  # equal in each column
+        expected_lse = logsumexp(logits, axis=0)
+        expected_probs = softmax(logits, axis=0)
+
+        lse = log_sum_exp(logits.copy())
+        work = logits.copy()
+        lse_too, probs = normalize_logits(work)
+        assert lse.shape == lse_too.shape == (300,)
+        assert probs.shape == (k, 300)
+        assert probs is work  # normalized in place, nothing transposed or copied
+        np.testing.assert_array_equal(lse, lse_too)
+        np.testing.assert_allclose(lse, expected_lse, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(probs, expected_probs, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(lse[:4], logits[0, :4] + math.log(k))
+        np.testing.assert_allclose(probs[:, :4], 1.0 / k, rtol=1e-15, atol=0)
+
+
+class TestCategoricalBatch:
+    """The batch helpers keep one row per point on top of the (k, N) helper."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_shapes_and_values(self, k):
+        rng = np.random.default_rng(80 + k)
+        count = 37
+        thetas = rng.uniform(-30.0, 30.0, size=(count, k - 1))
+        logits = np.hstack([np.zeros((count, 1)), thetas])
+        fam = Categorical(k)
+
+        psi = fam.log_partition_batch(thetas)
+        means = fam.to_mean_batch(thetas)
+        probs = fam.probabilities_batch(thetas)
+        assert psi.shape == (count,)
+        assert means.shape == (count, k - 1)
+        assert probs.shape == (count, k)
+        expected_psi, expected_probs = logsumexp(logits, axis=1), softmax(logits, axis=1)
+        np.testing.assert_allclose(psi, expected_psi, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(probs, expected_probs, rtol=1e-12, atol=1e-300)
+        np.testing.assert_array_equal(means, probs[:, 1:])
+        for theta, row in zip(thetas, means):
+            np.testing.assert_allclose(fam.to_mean(theta), row, rtol=1e-12, atol=1e-300)
 
 
 class TestMvnSufficientStatistic:

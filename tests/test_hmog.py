@@ -100,7 +100,7 @@ class TestJointDensity:
                 -20, 20, epsabs=1e-10,
             )
             total += value
-        expected = math.exp(hh.hmog_observable_log_density(model, x))
+        expected = math.exp(hh.hmog_log_densities(model, x[None])[0])
         assert total == pytest.approx(expected, rel=1e-5)
 
     def test_uniform_index_shift_renormalizes(self):
@@ -155,7 +155,7 @@ class TestObservableDensity:
         model, _, _ = random_hmog(rng, n=2, m=1, k=2)
         total, _ = dblquad(
             lambda x2, x1: math.exp(
-                hh.hmog_observable_log_density(model, np.array([x1, x2]))
+                hh.hmog_log_densities(model, np.array([x1, x2])[None])[0]
             ),
             -15, 15, -15, 15, epsabs=1e-8,
         )
@@ -334,16 +334,16 @@ class TestProjectionClassification:
             np.array([0.5, 0.5]), np.array([[-2.0], [2.0]]), 0.5 * np.ones((2, 1, 1))
         )
         model = hh.assemble_hmog(lgm, mog)
-        projection = hh.hmog_project(model, np.array([0.0, 1.7]))
+        projection = hh.hmog_project_batch(model, np.array([0.0, 1.7])[None])[0]
         assert projection[0] == pytest.approx(0.0, abs=1e-10)
-        posterior = hh.hmog_classify(model, np.array([0.0, -0.4]))
+        posterior = hh.hmog_classify_batch(model, np.array([0.0, -0.4])[None])[0]
         np.testing.assert_allclose(posterior, [0.5, 0.5], atol=1e-12)
 
     def test_single_cluster_classification_is_certain(self):
         rng = np.random.default_rng(15)
         model, _, _ = random_hmog(rng, k=1)
         np.testing.assert_array_equal(
-            hh.hmog_classify(model, rng.normal(size=3)), [1.0]
+            hh.hmog_classify_batch(model, rng.normal(size=3)[None])[0], [1.0]
         )
 
     def test_projection_matches_quadrature(self):
@@ -352,7 +352,7 @@ class TestProjectionClassification:
         model, _, _ = random_hmog(rng, n=2, m=1, k=2)
         for _ in range(3):
             x = rng.normal(size=2) * 1.5
-            log_px = hh.hmog_observable_log_density(model, x)
+            log_px = hh.hmog_log_densities(model, x[None])[0]
 
             def integrand(y, weight):
                 total = sum(
@@ -364,7 +364,8 @@ class TestProjectionClassification:
             numerator, _ = quad(lambda y: integrand(y, lambda v: v), -20, 20,
                                 epsabs=1e-10, limit=200)
             expected = numerator / math.exp(log_px)
-            assert hh.hmog_project(model, x)[0] == pytest.approx(expected, abs=1e-5)
+            projection = hh.hmog_project_batch(model, x[None])[0]
+            assert projection[0] == pytest.approx(expected, abs=1e-5)
 
     def test_classification_shift_law(self):
         """Shifting theta_Z rescales non-reference odds; rows stay normalized."""
@@ -393,8 +394,8 @@ class TestProjectionClassification:
         rng = np.random.default_rng(17)
         model, _, _ = random_hmog(rng, n=2, m=1, k=2)
         x = rng.normal(size=2)
-        log_px = hh.hmog_observable_log_density(model, x)
-        posterior = hh.hmog_classify(model, x)
+        log_px = hh.hmog_log_densities(model, x[None])[0]
+        posterior = hh.hmog_classify_batch(model, x[None])[0]
         assert posterior.sum() == pytest.approx(1.0, abs=1e-12)
         for z in (1, 2):
             mass, _ = quad(
@@ -554,8 +555,8 @@ class TestPreparedKernel:
         moved = dataclasses.replace(model, cat_params=model.cat_params + 0.7)
         assert moved.prepared.log_partition != prepared.log_partition
         x = rng.normal(size=3)
-        assert hh.hmog_observable_log_density(moved, x) != pytest.approx(
-            hh.hmog_observable_log_density(model, x), abs=1e-6
+        assert hh.hmog_log_densities(moved, x[None])[0] != pytest.approx(
+            hh.hmog_log_densities(model, x[None])[0], abs=1e-6
         )
 
 

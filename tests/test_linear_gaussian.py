@@ -264,7 +264,7 @@ class TestProjection:
             interaction=np.zeros((3, 2)),
         )
         np.testing.assert_allclose(
-            lg.lgm_project(model, rng.normal(size=3)), prior_mean, atol=1e-12
+            lg.lgm_project_batch(model, rng.normal(size=(1, 3)))[0], prior_mean, atol=1e-12
         )
 
     def test_hand_computed_example(self):
@@ -272,7 +272,7 @@ class TestProjection:
         model = lg.lgm_from_standard(
             np.zeros(2), np.ones(2), np.array([[1.0], [0.0]]), Structure.DIAGONAL
         )
-        projection = lg.lgm_project(model, np.array([2.0, 0.0]))
+        projection = lg.lgm_project_batch(model, np.array([2.0, 0.0])[None])[0]
         assert projection[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("structure", [Structure.ISOTROPIC, Structure.DIAGONAL])
@@ -292,7 +292,7 @@ class TestObservableDensity:
             np.zeros(3), np.ones(3), np.zeros((3, 1)), Structure.DIAGONAL
         )
         expected = -1.5 * math.log(2 * math.pi)
-        assert lg.lgm_observable_log_density(model, np.zeros(3)) == pytest.approx(
+        assert lg.lgm_log_densities(model, np.zeros(3)[None])[0] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -306,7 +306,7 @@ class TestObservableDensity:
         for _ in range(10):
             x = rng.normal(size=4) * 2
             expected = multivariate_normal.logpdf(x, mean, marginal)
-            assert lg.lgm_observable_log_density(model, x) == pytest.approx(
+            assert lg.lgm_log_densities(model, x[None])[0] == pytest.approx(
                 expected, abs=1e-8
             )
 
@@ -315,7 +315,7 @@ class TestObservableDensity:
         model, _ = random_lgm(rng, 2, 1, Structure.DIAGONAL)
         total, _ = dblquad(
             lambda x2, x1: math.exp(
-                lg.lgm_observable_log_density(model, np.array([x1, x2]))
+                lg.lgm_log_densities(model, np.array([x1, x2])[None])[0]
             ),
             -12, 12, -12, 12, epsabs=1e-8,
         )

@@ -129,7 +129,7 @@ class TestObservableDensity:
             np.array([1.0]), np.zeros((1, dim)), np.eye(dim)[None]
         )
         expected = -0.5 * dim * math.log(2 * math.pi)
-        assert mx.mog_observable_log_density(model, np.zeros(dim)) == pytest.approx(
+        assert mx.mog_log_densities(model, np.zeros(dim)[None])[0] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -139,7 +139,7 @@ class TestObservableDensity:
             np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.ones((2, 1, 1))
         )
         expected = math.log(math.exp(-0.5) / math.sqrt(2 * math.pi))
-        assert mx.mog_observable_log_density(model, np.zeros(1)) == pytest.approx(
+        assert mx.mog_log_densities(model, np.zeros(1)[None])[0] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -150,7 +150,7 @@ class TestObservableDensity:
         for _ in range(20):
             y = rng.normal(size=dim) * 2
             expected = brute_force_log_density(weights, means, covs, y)
-            assert mx.mog_observable_log_density(model, y) == pytest.approx(
+            assert mx.mog_log_densities(model, y[None])[0] == pytest.approx(
                 expected, abs=1e-9
             )
 
@@ -162,14 +162,14 @@ class TestPosterior:
         model = mx.mog_from_standard(
             np.full(3, 1 / 3), np.stack([mean] * 3), np.stack([cov] * 3)
         )
-        post = mx.mog_posterior(model, np.array([0.7, -0.2]))
+        post = mx.mog_posteriors(model, np.array([0.7, -0.2])[None])[0]
         np.testing.assert_allclose(post, 1 / 3, atol=1e-12)
 
     def test_well_separated_confidence(self):
         model = mx.mog_from_standard(
             np.array([0.5, 0.5]), np.array([[0.0], [10.0]]), 0.25 * np.ones((2, 1, 1))
         )
-        post = mx.mog_posterior(model, np.array([0.0]))
+        post = mx.mog_posteriors(model, np.array([0.0])[None])[0]
         assert post[0] > 0.99
 
     def test_matches_bayes_rule(self):

@@ -285,6 +285,20 @@ class TestFitTwoStage:
             fit_model(points, small_cfg(method, restarts=3))
         assert restarts == []
 
+    @pytest.mark.parametrize("method", ["two_stage_pca", "hmog_fa"])
+    def test_latent_dim_above_data_dimension_fails_before_restarts(
+        self, monkeypatch, method
+    ):
+        """Projections of 3-dimensional data span at most 3 feature dimensions."""
+        points = np.random.default_rng(9).normal(size=(60, 3))
+        restarts = []
+        monkeypatch.setattr(pl, "_two_stage_single", lambda *a: restarts.append(a))
+        with pytest.raises(
+            ValueError, match="^latent_dim 4 exceeds the data dimension 3$"
+        ):
+            fit_model(points, small_cfg(method, latent_dim=4, restarts=3))
+        assert restarts == []
+
     def test_deterministic_report(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("two_stage_pca")
@@ -494,6 +508,16 @@ class TestCrossValidate:
         monkeypatch.setattr(pl, "_fit", lambda *a: pytest.fail("fit before the check"))
         with pytest.raises(ValueError, match=f"^folds must be at least 2, got {folds}$"):
             cross_validate(data, small_cfg("two_stage_pca"), folds=folds)
+
+    def test_rejects_latent_dim_above_data_dimension(self, monkeypatch):
+        points = np.random.default_rng(10).normal(size=(40, 3))
+        restarts = []
+        monkeypatch.setattr(pl, "_two_stage_single", lambda *a: restarts.append(a))
+        with pytest.raises(
+            ValueError, match="^latent_dim 4 exceeds the data dimension 3$"
+        ):
+            cross_validate(points, small_cfg("two_stage_fa"), folds=3, grid=[(4, 2)])
+        assert restarts == []
 
     def test_rejects_fold_smaller_than_clusters(self):
         tiny = Dataset(np.random.default_rng(0).normal(size=(6, 2)))
