@@ -99,6 +99,14 @@ def _spd_inverse(matrix: NDArray, context: str) -> tuple[NDArray, NDArray]:
     return np.swapaxes(inv_lower, -1, -2) @ inv_lower, logdet
 
 
+def _freeze(model, *names: str) -> None:
+    """Make the named fields of ``model`` read-only float views of the caller's arrays."""
+    for name in names:
+        view = np.asarray(getattr(model, name), dtype=float).view()
+        view.flags.writeable = False
+        object.__setattr__(model, name, view)
+
+
 def _exp_shifted(logits: NDArray) -> tuple[NDArray, NDArray]:
     """``logits`` (k, N) becomes ``exp(logits - column max)`` in place.
 

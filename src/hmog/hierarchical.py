@@ -16,9 +16,10 @@ conditional: `mixture.mixture_forward` of the prior gives the feature and
 cluster blocks, and `linear_gaussian.lgm_conditional_forward` maps its
 feature moments to the observable blocks.
 
-Each model is prepared once, on first use (`Hmog.prepared`): the feature
-prior and the feature posterior mixtures with their stacked component
-factors, and the joint log-partition. Every per-point computation is then
+Each model is prepared once (`Hmog.prepared`): the feature prior and the
+feature posterior mixtures with their stacked component factors, and the
+joint log-partition. `assemble_hmog` builds it from what its parts hold,
+any other model on first use. Every per-point computation is then
 one pass of the shifted posterior mixture kernel at the shifts ``x @ W``,
 through the `mixture` wrapper that returns only what the caller reads:
 log-densities (`shifted_log_partition`), cluster posteriors
@@ -30,7 +31,7 @@ blocks in a fixed order; beyond those sums, a pass holds only the (N, m)
 shifts and its own per-point outputs, whatever N is. Mean
 log-likelihoods take the observable term from the mean statistic, so the
 fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
-Model blocks must not be mutated in place once the prepared state exists.
+Model blocks are read-only, so prepared state never goes stale.
 
 The maximization step is exact and closed-form: log p(x, y, z) splits
 into log p(x | y) + log p(y, z) over disjoint parameter blocks, so the
@@ -50,9 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import Categorical, DomainError, MultivariateNormal, Structure
+from .families import Categorical, DomainError, MultivariateNormal, Structure, _freeze
 from .linear_gaussian import (
     LinearGaussianModel,
+    _conjugation,
     _draw_observations,
     lgm_backward,
     lgm_conditional_forward,
@@ -107,9 +109,9 @@ class Hmog:
     The observable structure is isotropic (PCA-style) or diagonal
     (factor-analysis-style).
 
-    The blocks must not be mutated in place: `prepared` caches state
-    derived from them. `dataclasses.replace` gives a fresh instance with
-    its own prepared state.
+    The blocks are read-only, because `prepared` caches state derived
+    from them. `dataclasses.replace` gives a fresh instance with its own
+    prepared state.
     """
 
     obs: MultivariateNormal
@@ -121,6 +123,8 @@ class Hmog:
     lat_interaction: NDArray
 
     def __post_init__(self) -> None:
+        _freeze(self, "obs_params", "lat_params", "cat_params", "obs_interaction",
+                "lat_interaction")
         if self.obs.structure is Structure.FULL:
             raise ValueError("observable structure must be isotropic or diagonal")
         if self.lat.structure is not Structure.FULL:
@@ -150,7 +154,7 @@ class Hmog:
 
     @functools.cached_property
     def prepared(self) -> "PreparedHmog":
-        """Conjugation state shared by every computation, built on first use."""
+        """Conjugation state shared by every computation, seeded or built on first use."""
         return _prepare(self)
 
 
@@ -234,7 +238,7 @@ def _check_finite(h: Hmog) -> None:
 
 
 def _prepare(h: Hmog) -> PreparedHmog:
-    """Double conjugation, with every component factored once.
+    """Double conjugation of a model from its parameters alone.
 
     Raises DomainError naming a non-finite block, a non-negative
     observable second-order block, or a feature-prior component whose
@@ -244,7 +248,7 @@ def _prepare(h: Hmog) -> PreparedHmog:
     """
     _check_finite(h)
     try:
-        conj = lgm_conjugation_parameters(_likelihood_lgm(h))
+        conj = _conjugation(_likelihood_lgm(h))
     except DomainError as exc:
         raise DomainError(f"theta_xx: {exc}") from None
     prior = MixtureModel(
@@ -253,8 +257,13 @@ def _prepare(h: Hmog) -> PreparedHmog:
         cat_params=h.cat_params,
         interaction=h.lat_interaction,
     )
+    return _prepared_hmog(h, prior, conj.rho0)
+
+
+def _prepared_hmog(h: Hmog, prior: MixtureModel, rho0: float) -> PreparedHmog:
+    """The state of ``h`` from its feature prior and likelihood ``rho0``."""
     try:
-        log_partition = mixture_log_partition(prior) + conj.rho0
+        log_partition = mixture_log_partition(prior) + rho0
     except DomainError as exc:
         raise DomainError(f"feature prior {exc}") from None
     posterior = MixtureModel(
@@ -587,22 +596,29 @@ def assemble_hmog(lgm: LinearGaussianModel, mog: MixtureModel) -> Hmog:
     The result satisfies p(x, y, z) = p(x | y) p(y, z) with the
     conditional taken from ``lgm`` and the feature prior from ``mog``: the
     likelihood's own prior contribution is removed through its conjugation
-    parameters, so the conditional is preserved exactly.
+    parameters, so the conditional is preserved exactly. It comes prepared,
+    its prior ``mog`` itself, and fails as it would when loaded from JSON.
     """
     if lgm.lat.dim != mog.dim:
         raise ValueError(
             f"feature dimensions disagree: likelihood {lgm.lat.dim}, mixture {mog.dim}"
         )
-    conj = lgm_conjugation_parameters(lgm)
-    return Hmog(
+    try:
+        conj = lgm_conjugation_parameters(lgm)
+    except DomainError as exc:
+        raise DomainError(f"theta_xx: {exc}") from None
+    h = Hmog(
         obs=lgm.obs,
         lat=mog.lat,
-        obs_params=lgm.obs_params.copy(),
+        obs_params=lgm.obs_params,
         lat_params=mog.base_params - conj.rho,
-        cat_params=mog.cat_params.copy(),
-        obs_interaction=lgm.interaction.copy(),
-        lat_interaction=mog.interaction.copy(),
+        cat_params=mog.cat_params,
+        obs_interaction=lgm.interaction,
+        lat_interaction=mog.interaction,
     )
+    _check_finite(h)
+    vars(h)["prepared"] = _prepared_hmog(h, mog, conj.rho0)
+    return h
 
 
 def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
@@ -612,15 +628,15 @@ def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
     returned linear Gaussian model carries the standard-normal prior;
     `assemble_hmog` of the result reproduces the input exactly.
     """
-    mog = h.prepared.prior
+    standard = h.lat.from_mean_cov(np.zeros(h.lat.dim), np.eye(h.lat.dim))
     lgm = LinearGaussianModel(
         obs=h.obs,
         lat=h.lat,
-        obs_params=h.obs_params.copy(),
-        lat_params=h.lat.from_mean_cov(np.zeros(h.lat.dim), np.eye(h.lat.dim)),
-        interaction=h.obs_interaction.copy(),
+        obs_params=h.obs_params,
+        lat_params=standard - _conjugation(_likelihood_lgm(h)).rho,
+        interaction=h.obs_interaction,
     )
-    return lgm, mog
+    return lgm, h.prepared.prior
 
 
 def hmog_sample(

@@ -24,17 +24,19 @@ structure) are factored only through `families._cholesky` and
 `families._spd_inverse`, once per matrix per step: `lgm_backward` reads
 ``C_yy^{-1}`` off one inverse, and `lgm_moment_pass` takes log p(xbar)'s
 posterior log-partition from the same factor that gives the posterior
-covariance.
+covariance; `lgm_backward` seeds each model's `prepared` conjugation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import DomainError, MultivariateNormal, Structure, _cholesky, _spd_inverse
+from .families import DomainError, MultivariateNormal, Structure, _cholesky, _freeze
+from .families import _spd_inverse
 from .harmonium import ConjugationParams, Harmonium
 
 __all__ = [
@@ -77,6 +79,7 @@ class LinearGaussianModel:
     interaction: NDArray
 
     def __post_init__(self) -> None:
+        _freeze(self, "obs_params", "lat_params", "interaction")
         if self.lat.structure is not Structure.FULL:
             raise ValueError("feature family must have full covariance structure")
         if self.interaction.shape != (self.obs.dim, self.lat.dim):
@@ -93,6 +96,12 @@ class LinearGaussianModel:
     def lat_dim(self) -> int:
         return self.lat.dim
 
+    @functools.cached_property
+    def prepared(self) -> tuple[ConjugationParams, float]:
+        """Conjugation parameters and joint log-partition, seeded or built on first use."""
+        conj = _conjugation(self)
+        return conj, self.lat.log_partition(self.lat_params + conj.rho) + conj.rho0
+
 
 def as_harmonium(model: LinearGaussianModel) -> Harmonium:
     """Embed the first-order interaction into full sufficient-statistic space."""
@@ -108,7 +117,17 @@ def as_harmonium(model: LinearGaussianModel) -> Harmonium:
 
 
 def lgm_conjugation_parameters(model: LinearGaussianModel) -> ConjugationParams:
-    """Conjugation parameters of the observable likelihood.
+    """Conjugation parameters of the observable likelihood (read from `prepared`)."""
+    return model.prepared[0]
+
+
+def lgm_log_partition(model: LinearGaussianModel) -> float:
+    """Joint log-partition via conjugation (read from `prepared`)."""
+    return model.prepared[1]
+
+
+def _conjugation(model: LinearGaussianModel) -> ConjugationParams:
+    """Conjugation parameters from the model's blocks.
 
     With ``A = -2 Theta_XX`` and ``t = A^{-1} theta_X``:
 
@@ -128,12 +147,6 @@ def lgm_conjugation_parameters(model: LinearGaussianModel) -> ConjugationParams:
     p_yy = 0.5 * model.interaction.T @ solve(model.interaction)
     rho = model.lat.join_natural(rho_mu, p_yy)
     return ConjugationParams(rho=rho, rho0=rho0)
-
-
-def lgm_log_partition(model: LinearGaussianModel) -> float:
-    """Joint log-partition via conjugation."""
-    conj = lgm_conjugation_parameters(model)
-    return model.lat.log_partition(model.lat_params + conj.rho) + conj.rho0
 
 
 def lgm_conditional_forward(
@@ -193,22 +206,24 @@ def lgm_backward(
     Matches the model expectations to the targets on exactly the
     restricted sufficient statistics: the feature marginal and the
     first-order cross moments are matched exactly, and the conditional
-    noise is the structure projection of the residual covariance.
+    noise is the structure projection of the residual covariance. The
+    model comes prepared: its feature marginal is exactly ``N(m_y, C_yy)``.
     """
     m_x, second_x = obs.split_mean(eta_x)
     m_y, h_yy = lat.split_mean(eta_y)
     c_yy = h_yy - np.outer(m_y, m_y)
-    c_yy_inv, _ = _spd_inverse(c_yy, "feature covariance statistics")
+    c_yy_inv, logdet_yy = _spd_inverse(c_yy, "feature covariance statistics")
     c_xy = cross - np.outer(m_x, m_y)
     b_mat = c_xy @ c_yy_inv
     row_quad = np.einsum("ij,ij->i", b_mat, c_xy)
+    residual = m_x - b_mat @ m_y
 
     n = obs.dim
     if obs.structure is Structure.FULL:
         noise = (second_x - np.outer(m_x, m_x)) - b_mat @ c_xy.T
-        noise_inv, _ = _spd_inverse(noise, "observable noise covariance")
+        noise_inv, logdet_noise = _spd_inverse(noise, "observable noise covariance")
         theta_xy = noise_inv @ b_mat
-        obs_first = noise_inv @ (m_x - b_mat @ m_y)
+        obs_first = noise_inv @ residual
         obs_flat = obs.join_natural(obs_first, -0.5 * noise_inv)
     else:
         if obs.structure is Structure.ISOTROPIC:
@@ -219,19 +234,25 @@ def lgm_backward(
         if np.any(noise <= 0.0):
             raise DomainError("observable noise variance is not positive")
         theta_xy = b_mat / noise[:, None]
-        obs_first = (m_x - b_mat @ m_y) / noise
+        obs_first = residual / noise
         obs_flat = obs.join_natural(obs_first, -0.5 / noise[: obs.second_dim])
+        logdet_noise = np.sum(np.log(noise))
 
     lat_second = -0.5 * (c_yy_inv + b_mat.T @ theta_xy)
     lat_first = c_yy_inv @ m_y - b_mat.T @ obs_first
     lat_flat = lat.join_natural(lat_first, lat_second)
-    return LinearGaussianModel(
+    model = LinearGaussianModel(
         obs=obs,
         lat=lat,
         obs_params=obs_flat,
         lat_params=lat_flat,
         interaction=theta_xy,
     )
+    rho0 = 0.5 * float(obs_first @ residual + logdet_noise)
+    rho = lat.join_natural(theta_xy.T @ residual, -0.5 * c_yy_inv - lat_second)
+    psi = 0.5 * float(m_y @ c_yy_inv @ m_y + logdet_yy) + rho0
+    vars(model)["prepared"] = (ConjugationParams(rho, rho0), psi)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ parameters and component ``z > 1`` at the base shifted by column ``z - 2``
 of the interaction matrix. Conjugation parameters are exact by
 construction, which gives closed-form densities, posteriors, and EM.
 
-Each model factors its component precisions once, with one stacked
-`families._cholesky`, into `MixtureModel.prepared`. Everything evaluated under
+Each model holds its stacked component factors in `MixtureModel.prepared`,
+seeded by the backward map (below) or factored on first use with one
+stacked `families._cholesky`. Everything evaluated under
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
 one product of the stacked whitening maps with the shifts, a max-shift
@@ -29,10 +30,10 @@ layout: the feature statistics are stored one column per point, and the
 
 Component conversions are stacked: the forward map and `mog_to_standard`
 read every component's mean and covariance off the prepared factors. The
-backward map and `mog_from_standard` invert all component covariances
-with one stacked `families._spd_inverse` and take the categorical
-parameters from the moments they hold, ``psi_z = 1/2 mu_z . theta_mu(z) +
-1/2 log|Sigma_z|``, with no candidate model to factor.
+backward map and `mog_from_standard` factor all component covariances
+``Sigma_z = C_z C_z^T`` with one stacked Cholesky, take the categorical
+parameters from the moments they hold, and return the model prepared
+from those same factors.
 
 A component that is not positive-definite (a collapsed one, say) raises
 DomainError naming it; nothing is regularized. Only `mog_sample`, which
@@ -54,7 +55,7 @@ from .families import (
     MultivariateNormal,
     Structure,
     _cholesky,
-    _spd_inverse,
+    _freeze,
     log_sum_exp,
     normalize_logits,
 )
@@ -101,6 +102,7 @@ class MixtureModel:
     interaction: NDArray
 
     def __post_init__(self) -> None:
+        _freeze(self, "base_params", "cat_params", "interaction")
         if self.lat.structure is not Structure.FULL:
             raise ValueError("mixture components use the full-covariance family")
         expected = (self.lat.param_dim, len(self.cat_params))
@@ -131,9 +133,8 @@ class MixtureModel:
 
     @functools.cached_property
     def prepared(self) -> "PreparedMixture":
-        """Stacked component factors, computed on first use and kept.
+        """Stacked component factors, seeded by the backward map or built on first use.
 
-        The blocks must not be mutated in place after this is read;
         `dataclasses.replace` yields a new model with its own factors.
         """
         return _prepare_mixture(self)
@@ -209,17 +210,16 @@ def mixture_backward(
     return _mixture_from_moments(lat, mu, sigma, eta_z)
 
 
-def _factor_components(factor, matrices: NDArray, what: str):
-    """``factor(matrices, what)`` of a stack of component matrices (k, m, m).
+def _factor_components(matrices: NDArray, what: str) -> NDArray:
+    """Lower Cholesky factors of a stack of component matrices (k, m, m).
 
-    ``factor`` is `families._cholesky` or `families._spd_inverse`. Only
-    when the stacked factorization fails are the components factored one
-    at a time, to raise DomainError ``component z <what> is not
+    Only when the stacked factorization fails are the components factored
+    one at a time, to raise DomainError ``component z <what> is not
     positive-definite`` for the first that fails, a non-finite one
     included.
     """
     try:
-        return factor(matrices, what)
+        return _cholesky(matrices, what)
     except DomainError:
         for z, matrix in enumerate(matrices, start=1):
             try:
@@ -236,20 +236,25 @@ def _mixture_from_moments(
 ) -> MixtureModel:
     """The mixture of component means (k, m), covariances (k, m, m), weights 2..k.
 
-    The categorical parameters solve the conjugation equation,
-    ``theta_Z = to_natural(eta_z) - (psi_z - psi_1)`` over ``z = 2..k``.
+    Prepared with ``whiten = C_z``, ``Sigma_z = C_z C_z^T``; ``theta_Z =
+    to_natural(eta_z) - (psi_z - psi_1)`` solves the conjugation equation.
     """
-    inverse, logdet = _factor_components(_spd_inverse, sigma, "covariance")
-    first = (inverse @ mu[..., None])[..., 0]
-    naturals = lat.join_natural(first, -0.5 * inverse)
-    psi = 0.5 * np.sum(mu * first, axis=1) + 0.5 * logdet
+    lower = _factor_components(sigma, "covariance")
+    inv_lower = np.linalg.inv(lower)
+    inverse = inv_lower.transpose(0, 2, 1) @ inv_lower
+    offsets = (inv_lower @ mu[..., None])[..., 0]
+    logdets = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+    psi = 0.5 * np.sum(offsets**2, axis=1) + 0.5 * logdets
+    naturals = lat.join_natural((inverse @ mu[..., None])[..., 0], -0.5 * inverse)
     base = naturals[0]
-    return MixtureModel(
+    model = MixtureModel(
         lat=lat,
         base_params=base,
         cat_params=Categorical(len(mu)).to_natural(eta_z) - (psi[1:] - psi[0]),
         interaction=(naturals[1:] - base).T,
     )
+    vars(model)["prepared"] = _prepared(lower, offsets, logdets, model.cat_params)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +266,9 @@ def _mixture_from_moments(
 class PreparedMixture:
     """Stacked per-component factors of a mixture, built once per model.
 
-    Component ``z`` has precision ``P_z = -2 Theta_z = L_z L_z^T``;
-    ``whiten[z - 1]`` is ``L_z^{-T}``, so ``P_z^{-1} = whiten whiten^T``
-    and the quadratic form of a vector ``v`` is ``|whiten^T v|^2``.
+    ``whiten[z - 1]`` is a square root of component ``z``'s covariance
+    ``P_z^{-1} = whiten whiten^T`` (``P_z = -2 Theta_z``), so the quadratic
+    form of a vector ``v`` is ``|whiten^T v|^2``.
     ``offsets`` stacks the whitened first-order blocks ``whiten[z - 1]^T
     theta_mu(z)`` (k m,); ``bias`` is the shift-free part of each index
     logit, ``theta_Z . s_Z(z) - 1/2 log|P_z|``; and ``log_partitions`` the
@@ -285,29 +290,35 @@ class PreparedMixture:
     unwhiten_wide: NDArray
 
 
+def _prepared(whiten, offsets, logdets, cat_params) -> PreparedMixture:
+    """The state from the ``whiten`` maps, offsets (k, m) and ``log|P_z^{-1}|``."""
+    k, m = offsets.shape
+    return PreparedMixture(
+        whiten=whiten,
+        offsets=offsets.reshape(k * m),
+        bias=np.concatenate([[0.0], cat_params]) + 0.5 * logdets,
+        log_partitions=0.5 * np.sum(offsets**2, axis=1) + 0.5 * logdets,
+        whiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
+        unwhiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
+    )
+
+
 def _prepare_mixture(model: MixtureModel) -> PreparedMixture:
     """Factor every component precision with one stacked Cholesky.
 
     Raises DomainError for non-finite parameters, or naming the first
     component whose precision is not positive-definite.
     """
-    k, m = model.num_components, model.dim
+    m = model.dim
     naturals = np.vstack([model.base_params, model.base_params + model.interaction.T])
     if not (np.all(np.isfinite(naturals)) and np.all(np.isfinite(model.cat_params))):
         raise DomainError("non-finite mixture parameters")
     precisions = -2.0 * model.lat.split_natural(naturals)[1]
-    lower = _factor_components(_cholesky, precisions, "precision")
+    lower = _factor_components(precisions, "precision")
     whiten = np.linalg.inv(lower).transpose(0, 2, 1)
-    logdets = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
+    logdets = -2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
     offsets = np.einsum("ki,kij->kj", naturals[:, :m], whiten)
-    return PreparedMixture(
-        whiten=whiten,
-        offsets=offsets.reshape(k * m),
-        bias=np.concatenate([[0.0], model.cat_params]) - 0.5 * logdets,
-        log_partitions=0.5 * np.sum(offsets**2, axis=1) - 0.5 * logdets,
-        whiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
-        unwhiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
-    )
+    return _prepared(whiten, offsets, logdets, model.cat_params)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Hierarchical mixtures of Gaussians: densities, forward mapping, EM."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ from hmog import hierarchical as hh
 from hmog import linear_gaussian as lg
 from hmog import mixture as mx
 from hmog.families import DomainError, Structure
-from hmog.pipeline import default_synthetic_hmog
+from hmog.pipeline import default_synthetic_hmog, model_from_dict, model_to_dict
 
 
 def random_hmog(rng, n=3, m=2, k=3, structure=Structure.DIAGONAL, spread=1.5):
@@ -430,6 +431,67 @@ class TestAssembly:
             hh.pack_params(rebuilt), hh.pack_params(model), atol=1e-12
         )
 
+    def test_assembled_state_matches_fresh_build(self):
+        """EM's assembled models hold the state a fresh model builds."""
+        rng = np.random.default_rng(24)
+        model, _, _ = random_hmog(rng)
+        xs, _, _ = hh.hmog_sample(model, 200, rng)
+        model, _, _ = random_hmog(rng)
+        for _ in range(3):
+            model, _ = hh.hmog_em_iteration(model, xs)
+            fresh = dataclasses.replace(model)
+            assert hh.hmog_log_partition(model) == pytest.approx(
+                hh.hmog_log_partition(fresh), rel=1e-12, abs=0
+            )
+            np.testing.assert_allclose(
+                hh.hmog_log_densities(model, xs), hh.hmog_log_densities(fresh, xs),
+                rtol=1e-12, atol=0,
+            )
+
+    def test_disassemble_returns_the_assembled_parts(self):
+        """The prior is the mixture assembled; the likelihood's prior is standard."""
+        rng = np.random.default_rng(25)
+        model, _, _ = random_hmog(rng)
+        lgm, mog = hh.disassemble_hmog(model)
+        lgm_back, mog_back = hh.disassemble_hmog(hh.assemble_hmog(lgm, mog))
+        assert mog_back is mog
+        for block in ("base_params", "cat_params", "interaction"):
+            assert getattr(mog_back, block).tobytes() == getattr(mog, block).tobytes()
+        eta_y = lg.lgm_forward(lgm_back)[1]
+        np.testing.assert_allclose(
+            eta_y, lgm.lat.join_mean(np.zeros(2), np.eye(2)), atol=1e-12
+        )
+
+    def test_non_finite_likelihood_fails_at_assembly(self):
+        rng = np.random.default_rng(26)
+        model, _, _ = random_hmog(rng)
+        lgm, mog = hh.disassemble_hmog(model)
+        obs_params = lgm.obs_params.copy()
+        obs_params[0] = np.nan
+        bad = dataclasses.replace(lgm, obs_params=obs_params)
+        same = hh.Hmog(
+            obs=bad.obs, lat=mog.lat, obs_params=obs_params,
+            lat_params=mog.base_params - lg.lgm_conjugation_parameters(bad).rho,
+            cat_params=mog.cat_params, obs_interaction=bad.interaction,
+            lat_interaction=mog.interaction,
+        )
+        assembled, loaded = assembly_and_load_failures(bad, mog, same)
+        assert assembled.startswith("non-finite parameters in theta_x_mu")
+        assert loaded == assembled
+
+    def test_non_negative_observable_block_fails_at_assembly(self):
+        rng = np.random.default_rng(27)
+        model, _, _ = random_hmog(rng)
+        lgm, mog = hh.disassemble_hmog(model)
+        obs_params = lgm.obs_params.copy()
+        obs_params[3:] = 0.5
+        bad = dataclasses.replace(lgm, obs_params=obs_params)
+        # theta_y does not enter the message
+        same = dataclasses.replace(model, obs_params=obs_params)
+        assembled, loaded = assembly_and_load_failures(bad, mog, same)
+        assert assembled.startswith("theta_xx: ")
+        assert loaded == assembled
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(20)
         lgm = lg.lgm_from_standard(
@@ -438,6 +500,50 @@ class TestAssembly:
         mog = mx.mog_from_standard(np.array([1.0]), np.zeros((1, 3)), np.eye(3)[None])
         with pytest.raises(ValueError):
             hh.assemble_hmog(lgm, mog)
+
+
+def assembly_and_load_failures(lgm, mog, model):
+    """The DomainError messages of assembling ``lgm`` and ``mog``, and of loading ``model``."""
+    with pytest.raises(DomainError) as assembled:
+        hh.assemble_hmog(lgm, mog)
+    payload = json.loads(json.dumps(model_to_dict(model, "hmog_fa", 0)))
+    with pytest.raises(DomainError) as loaded:
+        model_from_dict(payload)
+    return str(assembled.value), str(loaded.value)
+
+
+class TestReadOnlyBlocks:
+    PARTS = {
+        "lgm": ("obs_params", "lat_params", "interaction"),
+        "mog": ("base_params", "cat_params", "interaction"),
+        "hmog": ("obs_params", "lat_params", "cat_params", "obs_interaction",
+                 "lat_interaction"),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, block",
+        [(kind, block) for kind, blocks in PARTS.items() for block in blocks],
+    )
+    def test_write_raises(self, kind, block):
+        """Every block refuses writes, on built models and on EM's."""
+        rng = np.random.default_rng(28)
+        model, _, _ = random_hmog(rng)
+        fitted, _ = hh.hmog_em_iteration(model, hh.hmog_sample(model, 50, rng)[0])
+        for h in (model, fitted):
+            lgm, mog = hh.disassemble_hmog(h)
+            array = getattr({"lgm": lgm, "mog": mog, "hmog": h}[kind], block)
+            before = array.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 1.0
+            assert array.tobytes() == before.tobytes()
+
+    def test_callers_arrays_keep_their_flag(self):
+        model, _, _ = random_hmog(np.random.default_rng(30))
+        arrays = {name: getattr(model, name).copy() for name in self.PARTS["hmog"]}
+        rebuilt = dataclasses.replace(model, **arrays)
+        for name, array in arrays.items():
+            assert array.flags.writeable
+            assert not getattr(rebuilt, name).flags.writeable
 
 
 class TestValidityGuard:

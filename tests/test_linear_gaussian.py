@@ -1,5 +1,6 @@
 """Linear Gaussian models: conjugation, forward mapping, EM, projection."""
 
+import dataclasses
 import math
 import time
 from pathlib import Path
@@ -249,6 +250,31 @@ class TestMomentPass:
             lg.lgm_em_step(model, np.zeros((0, 3)))
         with pytest.raises(ValueError, match="nonempty"):
             lg.lgm_mean_log_likelihood(model, np.zeros((0, 3)))
+
+
+def assert_relative(actual, expected, tol):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
+
+
+class TestSeededState:
+    @pytest.mark.parametrize(
+        "structure", [Structure.ISOTROPIC, Structure.DIAGONAL, Structure.FULL]
+    )
+    def test_backward_seeds_fresh_state(self, structure):
+        """The state `lgm_backward` seeds equals the one a fresh model builds."""
+        rng = np.random.default_rng(25)
+        truth, _ = random_lgm(rng, 5, 2, structure)
+        moments = lg.data_moments(truth.obs, lg.lgm_sample(truth, 400, rng)[0])
+        model, _ = random_lgm(rng, 5, 2, structure)
+        for _ in range(5):
+            target = lg.lgm_moment_pass(model, moments).target
+            model = lg.lgm_backward(model.obs, model.lat, *target)
+            (conj, log_partition), fresh = model.prepared, dataclasses.replace(model)
+            fresh_conj, fresh_log_partition = fresh.prepared
+            assert_relative(conj.rho, fresh_conj.rho, 1e-12)
+            assert_relative(conj.rho0, fresh_conj.rho0, 1e-12)
+            assert_relative(log_partition, fresh_log_partition, 1e-12)
 
 
 class TestProjection:

@@ -1,5 +1,6 @@
 """Gaussian mixtures as conjugated harmoniums."""
 
+import dataclasses
 import itertools
 import math
 
@@ -343,3 +344,29 @@ class TestShiftedComputations:
         np.testing.assert_allclose(probabilities[0, 1:], eta_z, atol=1e-10)
         np.testing.assert_allclose(stats.weights[1:], eta_z, atol=1e-10)
         np.testing.assert_allclose(stats.component_stats[1:].T, cross, atol=1e-10)
+
+
+class TestSeededState:
+    def test_backward_seeds_fresh_state(self):
+        """Models from the backward map hold the state a fresh model builds."""
+        rng = np.random.default_rng(11)
+        truth, _ = random_mog(rng, 3, 2)
+        ys, _ = mx.mog_sample(truth, 400, rng)
+        model, _ = random_mog(rng, 3, 2)
+        shifts = rng.normal(size=(50, 2)) * 2.0
+        for _ in range(5):
+            model = mx.mog_em_step(model, ys)
+            fresh = dataclasses.replace(model)
+            seeded, built = model.prepared, fresh.prepared
+            np.testing.assert_allclose(
+                seeded.log_partitions, built.log_partitions, rtol=1e-12, atol=0
+            )
+            np.testing.assert_allclose(seeded.bias, built.bias, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                mx.shifted_log_partition(model, shifts),
+                mx.shifted_log_partition(fresh, shifts), rtol=1e-12, atol=0,
+            )
+            for apply in (mx.shifted_posteriors, mx.shifted_feature_means):
+                np.testing.assert_allclose(
+                    apply(model, shifts), apply(fresh, shifts), rtol=1e-10, atol=1e-14
+                )

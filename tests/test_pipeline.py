@@ -410,6 +410,30 @@ class TestRestartLoop:
         with pytest.raises(ValueError, match="^injected$"):
             fit_model(data, small_cfg("hmog_pca", restarts=2))
 
+    @pytest.mark.parametrize(
+        "method, module, stage",
+        [("two_stage_fa", pl, "stage 2"), ("hmog_fa", hh, "unified")],
+    )
+    def test_assembly_failure_names_its_stage(
+        self, synthetic_data, monkeypatch, method, module, stage
+    ):
+        """`assemble_hmog` validates at once, inside its stage's error prefix."""
+        _, data = synthetic_data
+        assemble = hh.assemble_hmog
+
+        def poisoned(lgm, mog):
+            obs_params = lgm.obs_params.copy()
+            obs_params[0] = np.nan
+            return assemble(replace(lgm, obs_params=obs_params), mog)
+
+        monkeypatch.setattr(module, "assemble_hmog", poisoned)
+        with pytest.raises(
+            DomainError,
+            match=f"^all 1 restarts failed; last error: {stage} EM failed: "
+            "non-finite parameters in theta_x_mu",
+        ):
+            fit_model(data, small_cfg(method))
+
     @pytest.mark.parametrize("method", ["two_stage_fa", "hmog_pca"])
     def test_collapsing_components_fail_every_restart(self, method):
         """Three distinct points and three clusters: a component collapses."""
@@ -478,6 +502,58 @@ class TestRestartLoop:
         assert len(iterations) == (3 * cfg.hmog_iters if cfg.unified else 0)
         names = ["stage1", "stage2"] + (["unified"] if cfg.unified else [])
         assert [stage.name for stage in report.stages] == names
+
+
+class TestFactorizationCount:
+    def test_each_step_factors_only_new_matrices(self, monkeypatch):
+        """Cholesky calls per EM step on Iris (``hmog_fa``), pinned.
+
+        Stage 1 factors the feature covariance statistics and the posterior
+        precision; stage 2 the component covariances and the posterior
+        mixture; unified EM those three. Each backward map hands its factors
+        forward, so nothing is factored twice.
+        """
+        points = load_csv(DATA_DIR / "iris.csv", label_column="species").points
+        cfg = FitConfig(method="hmog_fa", latent_dim=2, clusters=3, seed=1)
+        moments = pl._fit_moments(points, cfg)
+        variances = np.diag(moments.covariance)
+        lgm = pl._initial_lgm(moments.mean, variances, 2, cfg.structure, cfg.seed)
+        current = lg.lgm_moment_pass(lgm, moments)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+
+        def count(step):
+            calls.clear()
+            result = step()
+            return len(calls), result
+
+        def stage1_step():
+            fitted = lg.lgm_backward(lgm.obs, lgm.lat, *current.target)
+            return fitted, lg.lgm_moment_pass(fitted, moments)
+
+        stage1, (lgm, current) = count(stage1_step)
+        projected = lg.lgm_project_batch(lgm, points)
+        mog = init_mog(projected, cfg.clusters, cfg.seed)
+        features = mx.mog_statistics(mog.lat, projected)
+        shifts = points @ lgm.interaction
+
+        def stage2_step():
+            fitted = mx.mog_em_step_from_statistics(mog, *features)
+            model = hh.assemble_hmog(lgm, fitted)
+            hh.hmog_mean_log_likelihood_from_terms(model, shifts, moments.statistic)
+            return model
+
+        stage2, model = count(stage2_step)
+        passed = hh.hmog_posterior_pass(model, points)
+        unified, _ = count(
+            lambda: hh.hmog_em_iteration(model, points, posterior_pass=passed)
+        )
+        assert (stage1, stage2, unified) == (2, 2, 3)
 
 
 class TestCrossValidate:
