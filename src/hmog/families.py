@@ -11,6 +11,12 @@ statistic of the family:
   second-order block ``Theta`` is packed according to the covariance
   structure (lower triangle, diagonal, or a single scalar).
 
+Isotropic structure is diagonal structure with its ``n`` entries tied, so
+both take one per-coordinate path and only the packing tells them apart: a
+tied natural entry repeats over the coordinates, tied second moments pack
+by summing, and a natural block packs by keeping its first ``second_dim``
+entries.
+
 Packing conventions are chosen so that plain dot products recover the
 correct bilinear forms: natural vectors store off-diagonal entries of
 ``Theta`` doubled, while sufficient statistics and mean vectors store each
@@ -64,7 +70,7 @@ class DomainError(ValueError):
 
 
 class Structure(enum.Enum):
-    """Constraint on the second-order block of a normal family."""
+    """Second-order block constraint of a normal family; ISOTROPIC is tied DIAGONAL."""
 
     FULL = "full"
     DIAGONAL = "diagonal"
@@ -75,6 +81,12 @@ class Structure(enum.Enum):
 def _tril_rows_cols(n: int) -> tuple[NDArray, NDArray]:
     rows, cols = np.tril_indices(n)
     return rows, cols
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_of_coordinate(n: int, entries: int) -> NDArray:
+    """Entry of a structured block that each of ``n`` coordinates reads."""
+    return np.arange(n) // (n // entries)
 
 
 def _cholesky(matrix: NDArray, context: str) -> NDArray:
@@ -262,8 +274,8 @@ class MultivariateNormal:
 
     ``structure`` restricts the precision (equivalently the covariance):
     FULL allows any symmetric positive-definite matrix, DIAGONAL restricts
-    to independent coordinates, and ISOTROPIC to a shared variance. The
-    base measure is ``(2 pi)^(-dim/2)``.
+    to independent coordinates, and ISOTROPIC to independent coordinates
+    whose variances are tied. The base measure is ``(2 pi)^(-dim/2)``.
     """
 
     dim: int
@@ -277,9 +289,7 @@ class MultivariateNormal:
     def second_dim(self) -> int:
         if self.structure is Structure.FULL:
             return self.dim * (self.dim + 1) // 2
-        if self.structure is Structure.DIAGONAL:
-            return self.dim
-        return 1
+        return 1 if self.structure is Structure.ISOTROPIC else self.dim
 
     @property
     def param_dim(self) -> int:
@@ -294,6 +304,36 @@ class MultivariateNormal:
         if vec.ndim not in ranks or vec.shape[-1] != length:
             raise ValueError(f"expected {what} of length {length}, got {vec.shape}")
         return vec
+
+    def _expand(self, packed: NDArray) -> NDArray:
+        """Per-coordinate entries ``(..., dim)`` of a structured block (ties repeat)."""
+        return packed[..., _entry_of_coordinate(self.dim, self.second_dim)]
+
+    def _pack(self, per_coordinate: NDArray) -> NDArray:
+        """Structured block of per-coordinate second moments: summed when tied."""
+        tied = self.structure is Structure.ISOTROPIC
+        return np.sum(per_coordinate, axis=-1, keepdims=True) if tied else per_coordinate
+
+    def _pack_squares(self, mu: NDArray) -> NDArray:
+        """`_pack` of the squares ``mu_i^2``."""
+        return mu @ mu if self.structure is Structure.ISOTROPIC else mu**2
+
+    @property
+    def _ties(self) -> int:
+        """Coordinates sharing each entry of a structured block."""
+        return self.dim // self.second_dim
+
+    def _standard(self, block: NDArray):
+        """A copy of a second-order block in standard form: a scalar when tied."""
+        tied = self.structure is Structure.ISOTROPIC
+        return float(block[0]) if tied else np.array(block)
+
+    def _variances(self, sigma) -> NDArray:
+        """Per-coordinate variances of a structured block or of a dense covariance."""
+        var = np.asarray(sigma, dtype=float)
+        if var.ndim == 2:
+            var = self._pack(np.diagonal(var)) / self._ties
+        return self._expand(var.reshape(self.second_dim))
 
     def _unpack(self, packed: NDArray) -> NDArray:
         """Dense symmetric matrices from packed lower triangles (FULL)."""
@@ -318,17 +358,16 @@ class MultivariateNormal:
         if self.structure is Structure.FULL:
             rows, cols = _tril_rows_cols(n)
             mat = self._unpack(np.where(rows != cols, 0.5 * packed, packed))
-        elif self.structure is Structure.DIAGONAL:
-            mat = np.diag(packed)
         else:
-            mat = packed[0] * np.eye(n)
+            mat = np.diag(self._expand(packed))
         return first, mat
 
     def join_natural(self, first: NDArray, second: NDArray) -> NDArray:
         """Pack ``(theta_mu, Theta)`` into a flat natural vector.
 
-        ``second`` may be the dense symmetric matrix, a diagonal vector
-        (DIAGONAL), or a scalar (ISOTROPIC).
+        ``second`` may be the dense symmetric matrix or, for structured
+        blocks, the per-coordinate diagonal (a scalar when tied). A
+        structured block keeps its first ``second_dim`` entries.
         """
         first = self._vectors(first, self.dim, "first-order block")
         second = np.asarray(second, dtype=float)
@@ -336,10 +375,9 @@ class MultivariateNormal:
             rows, cols = _tril_rows_cols(self.dim)
             tri = second[..., rows, cols]
             packed = np.where(rows != cols, 2.0 * tri, tri)
-        elif self.structure is Structure.DIAGONAL:
-            packed = np.diag(second) if second.ndim == 2 else second
         else:
-            packed = np.atleast_1d(second[0, 0] if second.ndim == 2 else second)
+            diagonal = np.diagonal(second) if second.ndim == 2 else np.atleast_1d(second)
+            packed = self._expand(diagonal)[: self.second_dim]
         return np.concatenate([first, packed], axis=-1)
 
     def split_mean(self, eta: NDArray) -> tuple[NDArray, NDArray]:
@@ -355,23 +393,18 @@ class MultivariateNormal:
         packed = eta[..., n:]
         if self.structure is Structure.FULL:
             return first, self._unpack(packed)
-        if self.structure is Structure.DIAGONAL:
-            return first, packed.copy()
-        return first, packed[0]
+        return first, self._standard(packed)
 
     def join_mean(self, first: NDArray, second) -> NDArray:
+        """Pack ``(E[x], second moments)``: a dense matrix or `split_mean`'s block."""
         first = self._vectors(first, self.dim, "first-order block")
+        second = np.asarray(second, dtype=float)
         if self.structure is Structure.FULL:
             rows, cols = _tril_rows_cols(self.dim)
-            second = np.asarray(second, dtype=float)[..., rows, cols]
-            return np.concatenate([first, second], axis=-1)
-        if self.structure is Structure.DIAGONAL:
-            second = np.asarray(second, dtype=float)
-            if second.ndim == 2:
-                second = np.diag(second)
-            return np.concatenate([first, second])
-        scalar = float(np.trace(second)) if np.ndim(second) == 2 else float(second)
-        return np.concatenate([first, [scalar]])
+            return np.concatenate([first, second[..., rows, cols]], axis=-1)
+        if second.ndim == 2:
+            second = self._pack(np.diagonal(second))
+        return np.concatenate([first, second.reshape(self.second_dim)])
 
     # -- sufficient statistics ----------------------------------------------
 
@@ -391,10 +424,8 @@ class MultivariateNormal:
         if self.structure is Structure.FULL:
             rows, cols = _tril_rows_cols(self.dim)
             second = xs[:, rows] * xs[:, cols]
-        elif self.structure is Structure.DIAGONAL:
-            second = xs**2
         else:
-            second = np.sum(xs**2, axis=1, keepdims=True)
+            second = self._pack(xs**2)
         return np.concatenate([xs, second], axis=1)
 
     def dot_statistics(self, theta: NDArray, xs: NDArray) -> NDArray:
@@ -420,9 +451,7 @@ class MultivariateNormal:
         if self.structure is Structure.FULL:
             return self.join_mean(mean, xs.T @ xs / count)
         squares = np.einsum("ni,ni->i", xs, xs) / count
-        if self.structure is Structure.DIAGONAL:
-            return self.join_mean(mean, squares)
-        return self.join_mean(mean, float(np.sum(squares)))
+        return self.join_mean(mean, self._pack(squares))
 
     def log_base_measure(self, x: NDArray) -> float:
         return -0.5 * self.dim * LOG_2PI
@@ -457,8 +486,7 @@ class MultivariateNormal:
             diag = -2.0 * theta[n:]
             if np.any(diag <= 0.0):
                 raise DomainError(f"{context}: second-order block is not negative")
-            if self.structure is Structure.ISOTROPIC:
-                diag = np.full(n, diag[0])
+            diag = self._expand(diag)
             logdet = float(np.sum(np.log(diag)))
 
             def solve(v: NDArray) -> NDArray:
@@ -498,9 +526,7 @@ class MultivariateNormal:
         mu = solve(first)
         if self.structure is Structure.FULL:
             return self.join_mean(mu, cov + np.outer(mu, mu))
-        if self.structure is Structure.DIAGONAL:
-            return self.join_mean(mu, cov + mu**2)
-        return self.join_mean(mu, float(np.sum(cov) + mu @ mu))
+        return self.join_mean(mu, self._pack(cov) + self._pack_squares(mu))
 
     def to_mean_batch(self, firsts: NDArray, second: NDArray) -> tuple[NDArray, NDArray]:
         """Posterior moments for rows sharing one second-order block.
@@ -520,9 +546,7 @@ class MultivariateNormal:
         mu, second = self.split_mean(eta)
         if self.structure is Structure.FULL:
             return self.from_mean_cov(mu, second - np.outer(mu, mu))
-        if self.structure is Structure.DIAGONAL:
-            return self.from_mean_cov(mu, second - mu**2)
-        return self.from_mean_cov(mu, (second - float(mu @ mu)) / self.dim)
+        return self.from_mean_cov(mu, (second - self._pack_squares(mu)) / self._ties)
 
     # -- standard-form bridges ------------------------------------------------
 
@@ -530,7 +554,8 @@ class MultivariateNormal:
         """Natural parameters from ``(mu, Sigma)``.
 
         ``sigma`` is a dense matrix for FULL structure, a variance vector
-        for DIAGONAL, and a scalar variance for ISOTROPIC. ``theta_mu =
+        for DIAGONAL, and a scalar variance for ISOTROPIC; a dense one gives
+        a structured family its diagonal, pooled when tied. ``theta_mu =
         Sigma^-1 mu`` and ``Theta = -1/2 Sigma^-1``. FULL structure also
         converts a stack, means ``(k, dim)`` with covariances ``(k, dim,
         dim)``, in one pass; a non-finite or indefinite covariance anywhere
@@ -546,25 +571,15 @@ class MultivariateNormal:
                 )
             inv, _ = _spd_inverse(sigma, "covariance")
             return self.join_natural((inv @ mu[..., None])[..., 0], -0.5 * inv)
-        if self.structure is Structure.DIAGONAL:
-            var = np.asarray(sigma, dtype=float)
-            if var.ndim == 2:
-                var = np.diag(var)
-            if np.any(var <= 0.0):
-                raise DomainError("diagonal covariance must be positive")
-            return self.join_natural(mu / var, -0.5 / var)
-        var = float(sigma)
-        if var <= 0.0:
-            raise DomainError("isotropic variance must be positive")
+        var = self._variances(sigma)
+        if np.any(var <= 0.0):
+            raise DomainError(f"{self.structure.value} variances must be positive")
         return self.join_natural(mu / var, -0.5 / var)
 
     def to_mean_cov(self, theta: NDArray) -> tuple[NDArray, NDArray]:
         """Standard parameters ``(mu, Sigma)`` in structure shape."""
         first, solve, _, cov = self._scale(theta)
-        mu = solve(first)
-        if self.structure is Structure.ISOTROPIC:
-            return mu, float(cov[0])
-        return mu, cov
+        return solve(first), self._standard(cov)
 
     # -- densities and sampling -----------------------------------------------
 
@@ -575,11 +590,6 @@ class MultivariateNormal:
             - self.log_partition(theta)
             + self.log_base_measure(x)
         )
-
-    def log_densities(self, theta: NDArray, xs: NDArray) -> NDArray:
-        stats = self.sufficient_statistics(xs)
-        psi = self.log_partition(theta)
-        return stats @ np.asarray(theta, dtype=float) - psi + self.log_base_measure(xs)
 
     def sample(self, theta: NDArray, size: int, rng: np.random.Generator) -> NDArray:
         """i.i.d. draws, shape ``(size, dim)``; deterministic given ``rng``."""

@@ -442,14 +442,11 @@ def valid_blocks(h: Hmog) -> list[str]:
     if bad:
         return bad
 
-    n = h.obs.dim
-    diag = -2.0 * h.obs_params[n:]
-    if np.any(diag <= 0.0):
+    try:
+        _, solve, _, _ = h.obs._scale(h.obs_params)
+    except DomainError:
         return ["obs_second"]
-    if h.obs.structure is Structure.ISOTROPIC:
-        diag = np.full(n, diag[0])
-    a_inv_w = h.obs_interaction / diag[:, None]
-    quad = h.obs_interaction.T @ a_inv_w
+    quad = h.obs_interaction.T @ solve(h.obs_interaction)
 
     violations = []
     _, lat_second = h.lat.split_natural(h.lat_params)

@@ -5,11 +5,11 @@ whose interaction couples only the first-order statistics:
 
     log p(x, y) ~ s_X(x) . theta_X + s_Y(y) . theta_Y + x . W . y
 
-Restricting the observable second-order block to isotropic structure gives
-probabilistic PCA; diagonal structure gives factor analysis. All solves
-against the observable precision are elementwise for those structures, so
-conjugation parameters, densities, and projection cost O(n m^2) in the
-observable dimension n.
+Diagonal observable noise gives factor analysis; isotropic noise, the same
+per-coordinate noise with its variances tied, gives probabilistic PCA. Both
+take one structured path, on which every solve against the observable
+precision is elementwise: conjugation parameters, densities, and projection
+cost O(n m^2) in the observable dimension n.
 
 EM and the mean log-likelihood depend on the data only through its sample
 mean, centred covariance ``C`` and mean observable statistic
@@ -24,7 +24,8 @@ structure) are factored only through `families._cholesky` and
 `families._spd_inverse`, once per matrix per step: `lgm_backward` reads
 ``C_yy^{-1}`` off one inverse, and `lgm_moment_pass` takes log p(xbar)'s
 posterior log-partition from the same factor that gives the posterior
-covariance; `lgm_backward` seeds each model's `prepared` conjugation.
+covariance; `lgm_backward` seeds each model's conjugation parameters and
+log-partition.
 """
 
 from __future__ import annotations
@@ -97,10 +98,15 @@ class LinearGaussianModel:
         return self.lat.dim
 
     @functools.cached_property
-    def prepared(self) -> tuple[ConjugationParams, float]:
-        """Conjugation parameters and joint log-partition, seeded or built on first use."""
-        conj = _conjugation(self)
-        return conj, self.lat.log_partition(self.lat_params + conj.rho) + conj.rho0
+    def conjugation(self) -> ConjugationParams:
+        """Conjugation parameters (no feature block), seeded or built on first use."""
+        return _conjugation(self)
+
+    @functools.cached_property
+    def log_partition(self) -> float:
+        """Joint log-partition, seeded or built on first use from `conjugation`."""
+        conj = self.conjugation
+        return self.lat.log_partition(self.lat_params + conj.rho) + conj.rho0
 
 
 def as_harmonium(model: LinearGaussianModel) -> Harmonium:
@@ -117,13 +123,13 @@ def as_harmonium(model: LinearGaussianModel) -> Harmonium:
 
 
 def lgm_conjugation_parameters(model: LinearGaussianModel) -> ConjugationParams:
-    """Conjugation parameters of the observable likelihood (read from `prepared`)."""
-    return model.prepared[0]
+    """Conjugation parameters of the observable likelihood (read from the model)."""
+    return model.conjugation
 
 
 def lgm_log_partition(model: LinearGaussianModel) -> float:
-    """Joint log-partition via conjugation (read from `prepared`)."""
-    return model.prepared[1]
+    """Joint log-partition via conjugation (read from the model)."""
+    return model.log_partition
 
 
 def _conjugation(model: LinearGaussianModel) -> ConjugationParams:
@@ -135,7 +141,7 @@ def _conjugation(model: LinearGaussianModel) -> ConjugationParams:
         rho_mu = W^T t
         P_YY   = 1/2 W^T A^{-1} W
 
-    For isotropic and diagonal structures every solve against ``A`` is
+    For structured (diagonal or tied) noise every solve against ``A`` is
     elementwise, so the cost grows linearly with the observable dimension.
     """
     first, solve, logdet, _ = model.obs._scale(
@@ -171,13 +177,12 @@ def lgm_conditional_forward(
     mu_x = solve(first) + loading @ mu_y
     sigma_xy = loading @ sigma_yy
     cross = sigma_xy + np.outer(mu_x, mu_y)
-    if model.obs.structure is Structure.FULL:
+    obs = model.obs
+    if obs.structure is Structure.FULL:
         sigma_xx = cov + sigma_xy @ loading.T
-        return model.obs.join_mean(mu_x, sigma_xx + np.outer(mu_x, mu_x)), cross
+        return obs.join_mean(mu_x, sigma_xx + np.outer(mu_x, mu_x)), cross
     var = cov + np.einsum("ij,ij->i", loading, sigma_xy)
-    if model.obs.structure is Structure.DIAGONAL:
-        return model.obs.join_mean(mu_x, var + mu_x**2), cross
-    return model.obs.join_mean(mu_x, float(np.sum(var) + mu_x @ mu_x)), cross
+    return obs.join_mean(mu_x, obs._pack(var) + obs._pack_squares(mu_x)), cross
 
 
 def lgm_forward(
@@ -207,7 +212,8 @@ def lgm_backward(
     restricted sufficient statistics: the feature marginal and the
     first-order cross moments are matched exactly, and the conditional
     noise is the structure projection of the residual covariance. The
-    model comes prepared: its feature marginal is exactly ``N(m_y, C_yy)``.
+    model comes with its conjugation parameters and log-partition seeded:
+    its feature marginal is exactly ``N(m_y, C_yy)``.
     """
     m_x, second_x = obs.split_mean(eta_x)
     m_y, h_yy = lat.split_mean(eta_y)
@@ -218,7 +224,6 @@ def lgm_backward(
     row_quad = np.einsum("ij,ij->i", b_mat, c_xy)
     residual = m_x - b_mat @ m_y
 
-    n = obs.dim
     if obs.structure is Structure.FULL:
         noise = (second_x - np.outer(m_x, m_x)) - b_mat @ c_xy.T
         noise_inv, logdet_noise = _spd_inverse(noise, "observable noise covariance")
@@ -226,16 +231,14 @@ def lgm_backward(
         obs_first = noise_inv @ residual
         obs_flat = obs.join_natural(obs_first, -0.5 * noise_inv)
     else:
-        if obs.structure is Structure.ISOTROPIC:
-            total = second_x - float(m_x @ m_x) - float(np.sum(row_quad))
-            noise = np.full(n, total / n)
-        else:
-            noise = second_x - m_x**2 - row_quad
+        # per-coordinate residual variances, pooled over tied coordinates
+        pooled = (second_x - obs._pack_squares(m_x) - obs._pack(row_quad)) / obs._ties
+        noise = obs._expand(pooled)
         if np.any(noise <= 0.0):
             raise DomainError("observable noise variance is not positive")
         theta_xy = b_mat / noise[:, None]
         obs_first = residual / noise
-        obs_flat = obs.join_natural(obs_first, -0.5 / noise[: obs.second_dim])
+        obs_flat = obs.join_natural(obs_first, -0.5 / noise)
         logdet_noise = np.sum(np.log(noise))
 
     lat_second = -0.5 * (c_yy_inv + b_mat.T @ theta_xy)
@@ -250,8 +253,8 @@ def lgm_backward(
     )
     rho0 = 0.5 * float(obs_first @ residual + logdet_noise)
     rho = lat.join_natural(theta_xy.T @ residual, -0.5 * c_yy_inv - lat_second)
-    psi = 0.5 * float(m_y @ c_yy_inv @ m_y + logdet_yy) + rho0
-    vars(model)["prepared"] = (ConjugationParams(rho, rho0), psi)
+    vars(model)["conjugation"] = ConjugationParams(rho, rho0)
+    vars(model)["log_partition"] = 0.5 * float(m_y @ c_yy_inv @ m_y + logdet_yy) + rho0
     return model
 
 
@@ -412,7 +415,8 @@ def lgm_from_standard(
     """Build a model from ``p(x | y) = N(mean + W y, Sigma)``, ``p(y) = N(0, I)``.
 
     ``noise`` follows the structure shape: dense matrix (FULL), variance
-    vector (DIAGONAL), or scalar variance (ISOTROPIC).
+    vector (DIAGONAL), or scalar variance (ISOTROPIC); structured noise
+    may also be a dense covariance, whose diagonal is kept (pooled if tied).
     """
     mean = np.asarray(mean, dtype=float)
     loading = np.asarray(loading, dtype=float)
@@ -424,10 +428,8 @@ def lgm_from_standard(
     if structure is Structure.FULL:
         # Theta_XX = -1/2 Sigma^{-1}, already inverted by from_mean_cov
         interaction = -2.0 * obs.split_natural(obs_params)[1] @ loading
-    elif structure is Structure.DIAGONAL:
-        interaction = loading / np.asarray(noise, dtype=float)[:, None]
     else:
-        interaction = loading / float(noise)
+        interaction = loading / obs._variances(noise)[:, None]
     lat_first = -loading.T @ obs_first
     lat_second = -0.5 * (np.eye(m) + loading.T @ interaction)
     lat_params = lat.join_natural(lat_first, lat_second)
@@ -449,9 +451,7 @@ def lgm_to_standard(
     first, solve, _, noise = model.obs._scale(
         model.obs_params, "observable natural parameters"
     )
-    if model.obs.structure is Structure.ISOTROPIC:
-        noise = float(noise[0])
-    return solve(first), noise, solve(model.interaction)
+    return solve(first), model.obs._standard(noise), solve(model.interaction)
 
 
 def lgm_sample(

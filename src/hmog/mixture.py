@@ -123,14 +123,6 @@ class MixtureModel:
     def cat(self) -> Categorical:
         return Categorical(self.num_components)
 
-    def component_params(self, z: int) -> NDArray:
-        """Flat natural parameters of component ``z`` (1-based)."""
-        if not 1 <= z <= self.num_components:
-            raise ValueError(f"component index {z} outside 1..{self.num_components}")
-        if z == 1:
-            return self.base_params.copy()
-        return self.base_params + self.interaction[:, z - 2]
-
     @functools.cached_property
     def prepared(self) -> "PreparedMixture":
         """Stacked component factors, seeded by the backward map or built on first use.
@@ -557,13 +549,16 @@ def mog_to_standard(model: MixtureModel) -> tuple[NDArray, NDArray, NDArray]:
 def mog_sample(
     model: MixtureModel, size: int, rng: np.random.Generator
 ) -> tuple[NDArray, NDArray]:
-    """Ancestral draws ``(features, component indices)``."""
+    """Ancestral draws ``(features, component indices)``; one stacked factoring."""
     conj = mixture_conjugation_parameters(model)
     zs = model.cat.sample(model.cat_params + conj.rho, size, rng)
+    means, covs = _component_moments(model)
+    lower = _cholesky(covs, "covariance")
     ys = np.empty((size, model.dim))
     for z in range(1, model.num_components + 1):
         mask = zs == z
         hits = int(np.count_nonzero(mask))
         if hits:
-            ys[mask] = model.lat.sample(model.component_params(z), hits, rng)
+            draws = rng.standard_normal((hits, model.dim))
+            ys[mask] = means[z - 1] + draws @ lower[z - 1].T
     return ys, zs

@@ -137,10 +137,6 @@ class Dataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def subset(self, indices: NDArray) -> "Dataset":
-        labels = self.labels[indices] if self.labels is not None else None
-        return Dataset(self.points[indices], labels, self.feature_names, self.label_names)
-
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
     """Parse a rectangular numeric CSV with an optional header row.
@@ -292,17 +288,11 @@ def _check_variances(variances: NDArray) -> None:
 def _initial_lgm(
     mean: NDArray, variances: NDArray, latent_dim: int, structure: Structure, seed: int
 ) -> LinearGaussianModel:
-    """`init_lgm` from the data's mean and per-coordinate variances."""
+    """`init_lgm` from the data's mean and per-coordinate variances (pooled if tied)."""
     _check_variances(variances)
-    if structure is Structure.ISOTROPIC:
-        noise = float(variances.mean())
-    elif structure is Structure.DIAGONAL:
-        noise = variances
-    else:
-        noise = np.diag(variances)
     rng = np.random.default_rng(seed)
     loading = rng.uniform(-0.01, 0.01, size=(len(mean), latent_dim))
-    return lgm_from_standard(mean, noise, loading, structure)
+    return lgm_from_standard(mean, np.diag(variances), loading, structure)
 
 
 def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
@@ -502,12 +492,12 @@ def _points(data: Dataset | NDArray) -> NDArray:
 
 
 def _fit(
-    data: Dataset | NDArray, cfg: FitConfig, unified: bool
+    data: Dataset | NDArray, cfg: FitConfig
 ) -> tuple[LinearGaussianModel, MixtureModel, Hmog, FitReport]:
     """The restart loop of every method (see the module docstring).
 
     Returns the winning restart's two-stage pair, its final assembled
-    model (after unified EM when ``unified``) and the report.
+    model (after unified EM for a unified method) and the report.
     """
     points = _points(data)
     start = time.perf_counter()
@@ -519,7 +509,7 @@ def _fit(
             lgm, mog, model, *stages = _two_stage_single(
                 points, cfg, cfg.seed + restart, moments
             )
-            if unified:
+            if cfg.unified:
                 stages.append([])
                 current = None
                 try:
@@ -561,9 +551,11 @@ def fit_two_stage(
 
     Stage-1 entries score the likelihood model itself (its own feature
     prior); stage-2 entries score the assembled hierarchical model after
-    each mixture step.
+    each mixture step. A unified method's configuration raises ValueError.
     """
-    lgm, mog, _, report = _fit(data, cfg, unified=False)
+    if cfg.unified:
+        raise ValueError(f"fit_two_stage: {cfg.method} is a unified method")
+    lgm, mog, _, report = _fit(data, cfg)
     return lgm, mog, report
 
 
@@ -574,15 +566,18 @@ def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     ``cfg.hmog_iters`` EM iterations whose maximization step is exact, so
     the final train log-likelihood never falls below the two-stage value.
     Each iteration hands its fused posterior pass to the next, so an
-    iteration scores the data once.
+    iteration scores the data once. A two-stage method's configuration
+    raises ValueError.
     """
-    _, _, model, report = _fit(data, cfg, unified=True)
+    if not cfg.unified:
+        raise ValueError(f"fit_hmog: {cfg.method} is a two-stage method")
+    _, _, model, report = _fit(data, cfg)
     return model, report
 
 
 def fit_model(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
     """Fit by any method, always returning the assembled hierarchical model."""
-    _, _, model, report = _fit(data, cfg, cfg.unified)
+    _, _, model, report = _fit(data, cfg)
     return model, report
 
 

@@ -440,6 +440,59 @@ class TestStackedHelpers:
             fam.from_mean_cov(np.zeros((3, 2)), np.stack([np.eye(2)] * 2))
 
 
+class TestIsotropicIsTiedDiagonal:
+    """Isotropic results equal diagonal ones on tied or pooled inputs."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_family_maps(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        iso = MultivariateNormal(dim, Structure.ISOTROPIC)
+        diag = MultivariateNormal(dim, Structure.DIAGONAL)
+        for _ in range(10):
+            mu = rng.normal(size=dim) * 2.0
+            var = float(rng.uniform(0.2, 3.0))
+            theta_iso = iso.from_mean_cov(mu, var)
+            theta_diag = diag.from_mean_cov(mu, np.full(dim, var))
+            # from_mean_cov: the diagonal entries are the tied entry
+            np.testing.assert_allclose(theta_iso[:dim], theta_diag[:dim], rtol=1e-12)
+            np.testing.assert_allclose(theta_diag[dim:], theta_iso[dim], rtol=1e-12)
+            assert iso.log_partition(theta_iso) == pytest.approx(
+                diag.log_partition(theta_diag), rel=1e-12, abs=1e-12
+            )
+            # to_mean: the isotropic second moment is the pooled diagonal one
+            eta_iso, eta_diag = iso.to_mean(theta_iso), diag.to_mean(theta_diag)
+            np.testing.assert_allclose(eta_iso[:dim], eta_diag[:dim], rtol=1e-12)
+            assert eta_iso[dim] == pytest.approx(np.sum(eta_diag[dim:]), rel=1e-12)
+            # to_natural of the pooled statistics recovers the tied model
+            back = iso.to_natural(eta_iso)
+            np.testing.assert_allclose(back[:dim], diag.to_natural(eta_diag)[:dim],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(diag.to_natural(eta_diag)[dim:], back[dim],
+                                       rtol=1e-12)
+            xs = rng.normal(size=(5, dim))
+            stats_iso, stats_diag = iso.sufficient_statistics(xs), diag.sufficient_statistics(xs)
+            np.testing.assert_allclose(stats_iso[:, :dim], stats_diag[:, :dim], rtol=0)
+            np.testing.assert_allclose(
+                stats_iso[:, dim], np.sum(stats_diag[:, dim:], axis=1), rtol=1e-12
+            )
+
+    def test_standard_shapes_keep_the_scalar(self):
+        """split_mean and to_mean_cov still give the tied entry as a scalar."""
+        iso = MultivariateNormal(3, Structure.ISOTROPIC)
+        theta = iso.from_mean_cov(np.array([1.0, -2.0, 0.5]), 0.7)
+        mu, var = iso.to_mean_cov(theta)
+        assert isinstance(var, float) and var == pytest.approx(0.7, rel=1e-15)
+        np.testing.assert_allclose(mu, [1.0, -2.0, 0.5], rtol=1e-15)
+        _, second = iso.split_mean(iso.to_mean(theta))
+        assert np.ndim(second) == 0
+        assert second == pytest.approx(3 * 0.7 + 1.0 + 4.0 + 0.25, rel=1e-15)
+        # a dense covariance is pooled over the tied coordinates
+        pooled = iso.from_mean_cov(mu, np.diag([0.5, 0.7, 0.9]))
+        np.testing.assert_allclose(pooled, theta, rtol=1e-15)
+        with pytest.raises(ValueError):
+            iso.from_mean_cov(mu, np.array([0.5, 0.7, 0.9]))
+
+
 class TestLogDensity:
     def test_standard_normal_at_origin(self):
         fam = MultivariateNormal(1)
@@ -457,15 +510,6 @@ class TestLogDensity:
         theta = rng.normal(size=3)
         total = sum(math.exp(fam.log_density(theta, z)) for z in range(1, 5))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(12)
-        fam = MultivariateNormal(3, Structure.DIAGONAL)
-        theta = random_natural(fam, rng)
-        xs = rng.normal(size=(6, 3))
-        batch = fam.log_densities(theta, xs)
-        singles = [fam.log_density(theta, x) for x in xs]
-        np.testing.assert_allclose(batch, singles, atol=1e-13)
 
 
 class TestSampling:

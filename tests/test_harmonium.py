@@ -144,8 +144,8 @@ class TestConjugatedLogPartition:
         ours = conjugated_log_partition(mx.as_harmonium(model), conj)
         terms = [
             float(model.cat.sufficient_statistic(z) @ model.cat_params)
-            + model.lat.log_partition(model.component_params(z))
-            for z in range(1, 4)
+            + model.lat.log_partition(model.base_params + offset)
+            for z, offset in zip(range(1, 4), [0.0, *model.interaction.T])
         ]
         brute = math.log(sum(math.exp(t - max(terms)) for t in terms)) + max(terms)
         assert ours == pytest.approx(brute, abs=1e-10)

@@ -492,6 +492,25 @@ class TestAssembly:
         assert assembled.startswith("theta_xx: ")
         assert loaded == assembled
 
+    def test_assembly_ignores_the_likelihood_feature_prior(self):
+        """Assembly reads the conjugation alone, so any feature block serves.
+
+        A zero feature block makes the likelihood's own joint invalid; the
+        mixture replaces that prior, so the model assembles all the same.
+        """
+        rng = np.random.default_rng(28)
+        for structure in (Structure.DIAGONAL, Structure.ISOTROPIC):
+            model, _, _ = random_hmog(rng, structure=structure)
+            lgm, mog = hh.disassemble_hmog(model)
+            zeroed = dataclasses.replace(lgm, lat_params=np.zeros(lgm.lat.param_dim))
+            with pytest.raises(DomainError):
+                lg.lgm_log_partition(zeroed)
+            np.testing.assert_allclose(
+                hh.pack_params(hh.assemble_hmog(zeroed, mog)),
+                hh.pack_params(hh.assemble_hmog(lgm, mog)),
+                rtol=0, atol=1e-12,
+            )
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(20)
         lgm = lg.lgm_from_standard(

@@ -270,11 +270,53 @@ class TestSeededState:
         for _ in range(5):
             target = lg.lgm_moment_pass(model, moments).target
             model = lg.lgm_backward(model.obs, model.lat, *target)
-            (conj, log_partition), fresh = model.prepared, dataclasses.replace(model)
-            fresh_conj, fresh_log_partition = fresh.prepared
-            assert_relative(conj.rho, fresh_conj.rho, 1e-12)
-            assert_relative(conj.rho0, fresh_conj.rho0, 1e-12)
-            assert_relative(log_partition, fresh_log_partition, 1e-12)
+            conj, fresh = model.conjugation, dataclasses.replace(model)
+            assert_relative(conj.rho, fresh.conjugation.rho, 1e-12)
+            assert_relative(conj.rho0, fresh.conjugation.rho0, 1e-12)
+            assert_relative(model.log_partition, fresh.log_partition, 1e-12)
+
+
+class TestIsotropicIsTiedDiagonal:
+    """Isotropic linear Gaussian maps equal diagonal ones on tied or pooled inputs."""
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (8, 3)])
+    def test_conditional_forward(self, n, m):
+        rng = np.random.default_rng(50 + n)
+        mean, loading = rng.normal(size=n), rng.normal(size=(n, m))
+        var = float(rng.uniform(0.3, 1.4))
+        iso = lg.lgm_from_standard(mean, var, loading, Structure.ISOTROPIC)
+        diag = lg.lgm_from_standard(mean, np.full(n, var), loading, Structure.DIAGONAL)
+        for _ in range(5):
+            a, mu_y = rng.normal(size=(m, m)), rng.normal(size=m)
+            eta_y = iso.lat.join_mean(mu_y, a @ a.T + np.eye(m) + np.outer(mu_y, mu_y))
+            eta_iso, cross_iso = lg.lgm_conditional_forward(iso, eta_y)
+            eta_diag, cross_diag = lg.lgm_conditional_forward(diag, eta_y)
+            np.testing.assert_allclose(cross_iso, cross_diag, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(eta_iso[:n], eta_diag[:n], rtol=1e-12, atol=1e-12)
+            assert eta_iso[n] == pytest.approx(np.sum(eta_diag[n:]), rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (8, 3)])
+    def test_backward_pools_the_noise(self, n, m):
+        """Same offset and loading; the tied noise is the mean diagonal noise."""
+        rng = np.random.default_rng(60 + n)
+        truth, _ = random_lgm(rng, n, m, Structure.DIAGONAL)
+        xs = lg.lgm_sample(truth, 300, rng)[0]
+        model, _ = random_lgm(rng, n, m, Structure.DIAGONAL)
+        eta_x, eta_y, cross = lg.lgm_moment_pass(
+            model, lg.data_moments(model.obs, xs)
+        ).target
+        iso_obs = MultivariateNormal(n, Structure.ISOTROPIC)
+        pooled = iso_obs.join_mean(eta_x[:n], np.sum(eta_x[n:]))
+        np.testing.assert_allclose(
+            pooled, lg.data_moments(iso_obs, xs).statistic, rtol=1e-12
+        )
+        diag = lg.lgm_backward(model.obs, model.lat, eta_x, eta_y, cross)
+        iso = lg.lgm_backward(iso_obs, model.lat, pooled, eta_y, cross)
+        mean_d, noise_d, loading_d = lg.lgm_to_standard(diag)
+        mean_i, noise_i, loading_i = lg.lgm_to_standard(iso)
+        np.testing.assert_allclose(mean_i, mean_d, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(loading_i, loading_d, rtol=1e-12, atol=1e-12)
+        assert noise_i == pytest.approx(np.mean(noise_d), rel=1e-12)
 
 
 class TestProjection:

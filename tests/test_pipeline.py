@@ -308,7 +308,20 @@ class TestFitTwoStage:
         assert a.restart_index == b.restart_index
 
 
+    @pytest.mark.parametrize("method", ["hmog_pca", "hmog_fa"])
+    def test_unified_method_rejected(self, synthetic_data, method):
+        _, data = synthetic_data
+        with pytest.raises(ValueError, match=f"fit_two_stage: {method} is a unified"):
+            fit_two_stage(data, small_cfg(method))
+
+
 class TestFitHmog:
+    @pytest.mark.parametrize("method", ["two_stage_pca", "two_stage_fa"])
+    def test_two_stage_method_rejected(self, synthetic_data, method):
+        _, data = synthetic_data
+        with pytest.raises(ValueError, match=f"fit_hmog: {method} is a two-stage"):
+            fit_hmog(data, small_cfg(method))
+
     def test_zero_unified_iterations_returns_assembled_two_stage(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("hmog_fa", hmog_iters=0)
@@ -554,6 +567,20 @@ class TestFactorizationCount:
             lambda: hh.hmog_em_iteration(model, points, posterior_pass=passed)
         )
         assert (stage1, stage2, unified) == (2, 2, 3)
+
+    def test_sampling_factors_the_components_once(self, monkeypatch):
+        """One stacked Cholesky per `hmog_sample`, whatever the cluster count."""
+        model = default_synthetic_hmog(8, 5, 50)
+        calls, cholesky = [], np.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        xs, ys, zs = hh.hmog_sample(model, 2000, np.random.default_rng(0))
+        assert len(calls) == 1
+        assert set(np.unique(zs)) == set(range(1, 9))
 
 
 class TestCrossValidate:
