@@ -71,7 +71,7 @@ def _config(args: argparse.Namespace, latent_dim: int, clusters: int) -> FitConf
     )
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     data = load_csv(args.input, args.label_col)
     cfg = _config(args, args.latent_dim, args.clusters)
     model, report = fit_model(data, cfg)
@@ -79,8 +79,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     payload["report"] = report_to_dict(report)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(payload))
-    print(f"wrote {args.out}")
-    return 0
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -94,21 +92,24 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return cells
 
 
-def _cmd_cv(args: argparse.Namespace) -> int:
+def _cmd_cv(args: argparse.Namespace) -> None:
     data = load_csv(args.input)
     grid = _parse_grid(args.grid)
     cfg = _config(args, grid[0][0], grid[0][1])
     report = cross_validate(data, cfg, folds=args.folds, grid=grid)
     export_report(report, args.out, format="csv")
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    if args.spec:
-        model = load_model(args.spec)
-    else:
-        model = default_synthetic_hmog(args.clusters, args.latent_dim, args.obs_dim)
+def _cmd_synth(args: argparse.Namespace) -> None:
+    model = load_model(args.spec) if args.spec else None
+    dims = model and {"k": model.num_clusters, "m": model.lat_dim, "n": model.obs_dim}
+    for flag, key in (("clusters", "k"), ("latent_dim", "m"), ("obs_dim", "n")):
+        given, name = getattr(args, flag), "--" + flag.replace("_", "-")
+        if dims is None and given is None:
+            raise ValueError(f"{name} (dims.{key}) is required without --spec")
+        if dims is not None and given is not None and given != dims[key]:
+            raise ValueError(f"{name} {given}, but --spec has dims.{key} = {dims[key]}")
+    model = model or default_synthetic_hmog(args.clusters, args.latent_dim, args.obs_dim)
     data = gen_synthetic(model, args.count, args.seed)
     header = [f"x_{i + 1}" for i in range(data.dim)] + ["cluster"]
     rows = (
@@ -116,8 +117,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         for point, label in zip(data.points, data.labels)
     )
     _write_csv(args.out, header, rows)
-    print(f"wrote {args.out}")
-    return 0
 
 
 def _model_and_points(args: argparse.Namespace):
@@ -132,16 +131,14 @@ def _model_and_points(args: argparse.Namespace):
     return model, data
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: argparse.Namespace) -> None:
     model, data = _model_and_points(args)
     projections = hmog_project_batch(model, data.points)
     header = [f"y_{j + 1}" for j in range(projections.shape[1])]
     _write_csv(args.out, header, (_float_cells(row) for row in projections))
-    print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     model, data = _model_and_points(args)
     posteriors = hmog_classify_batch(model, data.points)
     assignments = np.argmax(posteriors, axis=1) + 1
@@ -151,8 +148,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         for cluster, row in zip(assignments, posteriors)
     )
     _write_csv(args.out, header, rows)
-    print(f"wrote {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.set_defaults(handler=_cmd_cv)
 
     synth = sub.add_parser("synth", help="sample a synthetic labelled dataset")
-    synth.add_argument("--clusters", type=int, required=True)
-    synth.add_argument("--latent-dim", type=int, required=True)
-    synth.add_argument("--obs-dim", type=int, required=True)
+    for flag in ("--clusters", "--latent-dim", "--obs-dim"):
+        synth.add_argument(flag, type=int, help="required unless --spec is given")
     synth.add_argument("--count", type=int, required=True)
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--spec", default=None, help="ground-truth model JSON")
@@ -211,10 +205,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
     except (ValueError, OSError) as exc:  # bad input or a missing file, not a crash
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -227,10 +227,6 @@ class Categorical:
         """Probability rows (N, num_categories - 1) of the non-reference categories."""
         return normalize_logits(self._padded(thetas))[1][1:].T
 
-    def probabilities_batch(self, thetas: NDArray) -> NDArray:
-        """Full probability rows (N, num_categories)."""
-        return normalize_logits(self._padded(thetas))[1].T
-
     def to_natural(self, eta: NDArray) -> NDArray:
         """Backward mapping: theta_i = log(eta_i / (1 - sum_j eta_j))."""
         eta = np.asarray(eta, dtype=float)

@@ -450,15 +450,21 @@ def mixture_posterior_stats(model: MixtureModel, shifts: NDArray) -> MixturePost
 # ---------------------------------------------------------------------------
 
 
+def _index_logits(model: MixtureModel, stats: NDArray) -> NDArray:
+    """Index logits (k, N) of statistic columns: zero, then ``theta_Z + Theta_YZ^T s``."""
+    logits = np.zeros((model.num_components, stats.shape[1]))
+    np.matmul(model.interaction.T, stats, out=logits[1:])
+    logits[1:] += model.cat_params[:, None]
+    return logits
+
+
 def mog_log_densities(model: MixtureModel, ys: NDArray) -> NDArray:
     """log p(y) at a batch of points, through the conjugation identity."""
     ys = np.asarray(ys, dtype=float)
     stats = model.lat.sufficient_statistics(ys)
-    shifted = model.cat_params + stats @ model.interaction
-    psi_posterior = model.cat.log_partition_batch(shifted)
     return (
         stats @ model.base_params
-        + psi_posterior
+        + log_sum_exp(_index_logits(model, stats.T))
         - mixture_log_partition(model)
         + model.lat.log_base_measure(ys)
     )
@@ -466,9 +472,8 @@ def mog_log_densities(model: MixtureModel, ys: NDArray) -> NDArray:
 
 def mog_posteriors(model: MixtureModel, ys: NDArray) -> NDArray:
     """Index posteriors p(z | y) for a batch, shape ``(len(ys), k)``."""
-    ys = np.asarray(ys, dtype=float)
-    stats = model.lat.sufficient_statistics(ys)
-    return model.cat.probabilities_batch(model.cat_params + stats @ model.interaction)
+    stats = model.lat.sufficient_statistics(np.asarray(ys, dtype=float))
+    return normalize_logits(_index_logits(model, stats.T))[1].T
 
 
 def mog_statistics(lat: MultivariateNormal, ys: NDArray) -> tuple[NDArray, NDArray]:
@@ -486,21 +491,16 @@ def mog_em_step_from_statistics(
 ) -> MixtureModel:
     """One closed-form EM step on `mog_statistics` of the observed features.
 
-    Index posteriors come from the categorical forward mapping at
-    ``theta_Z + s_Y(y) . Theta_YZ``: one product of the interaction with
-    the statistic columns fills rows ``2..k`` of the (k, N) logits, whose
-    first (reference) row is zero. Their averages with the fixed
-    statistics go to the mixture backward mapping. The training
-    log-likelihood is nondecreasing. A component whose weighted
-    covariance loses positive-definiteness raises DomainError naming it.
+    Index posteriors come from the categorical forward mapping of the
+    `_index_logits`; their averages with the fixed statistics go to the
+    mixture backward mapping. The training log-likelihood is
+    nondecreasing. A component whose weighted covariance loses
+    positive-definiteness raises DomainError naming it.
     """
     count = stats.shape[1]
     if count < model.num_components:
         raise ValueError("need at least as many samples as mixture components")
-    logits = np.zeros((model.num_components, count))
-    np.matmul(model.interaction.T, stats, out=logits[1:])
-    logits[1:] += model.cat_params[:, None]
-    posteriors = normalize_logits(logits)[1][1:]
+    posteriors = normalize_logits(_index_logits(model, stats))[1][1:]
     return mixture_backward(
         model.lat,
         mean_stats,

@@ -19,12 +19,15 @@ restart that collapses onto a degenerate mixture) skips that restart; any
 other error, such as a ValueError, propagates. When every restart fails,
 the fit raises ``DomainError("all N restarts failed; last error: ...")``.
 
-Stage 1 runs on those moments alone: one `lgm_moment_pass` per step
-scores the current model and yields the next E-step target. Stage 2 keeps
-the likelihood model fixed, so each restart computes the feature shifts
-and the statistics of the projections once and scores every mixture step
-through the posterior kernel; unified EM carries each iteration's fused
-posterior pass into the next.
+Every stage runs through one EM driver, `_run_stage`, which applies the
+stage's step, records each score and prefixes a DomainError with the
+stage's name; each step hands the next its model and the pass it can
+reuse. Stage 1 runs on those moments alone: one
+`lgm_moment_pass` per step scores the current model and yields the next
+E-step target. Stage 2 keeps the likelihood model fixed, so each restart
+computes the feature shifts and the statistics of the projections once
+and scores every mixture step through the posterior kernel; unified EM
+carries each iteration's fused posterior pass into the next.
 
 All randomness flows through explicitly seeded generators; identical
 inputs produce identical reports and identical serialized artifacts.
@@ -379,10 +382,7 @@ class FitReport:
 
     @property
     def trajectory(self) -> list[float]:
-        out: list[float] = []
-        for stage in self.stages:
-            out.extend(stage.log_likelihoods)
-        return out
+        return [value for stage in self.stages for value in stage.log_likelihoods]
 
 
 @dataclass(frozen=True)
@@ -444,28 +444,40 @@ def _fit_moments(points: NDArray, cfg: FitConfig) -> DataMoments:
     return moments
 
 
+def _run_stage(label: str, name: str, step, state: tuple, iters: int):
+    """Run ``iters`` EM steps; ``step(*state)`` returns ``(next state, its score)``.
+
+    ``state`` pairs the model with what its step carries forward, such as
+    the pass the next step reuses; it starts as ``(model, None)``. Returns
+    the final state and the `StageTrace`; a DomainError gains the prefix
+    ``"<label> EM failed: "``.
+    """
+    scores = []
+    try:
+        for _ in range(iters):
+            state, score = step(*state)
+            scores.append(score)
+    except DomainError as exc:
+        raise DomainError(f"{label} EM failed: {exc}") from exc
+    return state, StageTrace(name, tuple(scores))
+
+
 def _two_stage_single(
     data: NDArray, cfg: FitConfig, seed: int, moments: DataMoments
-) -> tuple[LinearGaussianModel, MixtureModel, Hmog, list[float], list[float]]:
-    """One two-stage restart; trajectories are assembled-model likelihoods.
+) -> tuple[LinearGaussianModel, MixtureModel, Hmog, StageTrace, StageTrace]:
+    """One restart's stages 1 and 2: their traces and the last assembled model."""
+    def stage1(lgm, current):
+        current = current or lgm_moment_pass(lgm, moments)
+        lgm = lgm_backward(lgm.obs, lgm.lat, *current.target)
+        current = lgm_moment_pass(lgm, moments)
+        return (lgm, current), current.mean_log_likelihood
 
-    Stage 1 runs on the moments of ``data`` alone: each step is one
-    `lgm_moment_pass`, which scores the current model and yields the next
-    step's target. The assembled model returned is the one that scored
-    the last stage-2 entry.
-    """
     lgm = _initial_lgm(
         moments.mean, np.diag(moments.covariance), cfg.latent_dim, cfg.structure, seed
     )
-    stage1 = []
-    try:
-        current = lgm_moment_pass(lgm, moments)
-        for _ in range(cfg.stage1_iters):
-            lgm = lgm_backward(lgm.obs, lgm.lat, *current.target)
-            current = lgm_moment_pass(lgm, moments)
-            stage1.append(current.mean_log_likelihood)
-    except DomainError as exc:
-        raise DomainError(f"stage 1 EM failed: {exc}") from exc
+    (lgm, _), trace1 = _run_stage(
+        "stage 1", "stage1", stage1, (lgm, None), cfg.stage1_iters
+    )
 
     projected = lgm_project_batch(lgm, data)
     mog = init_mog(projected, cfg.clusters, seed)
@@ -474,17 +486,17 @@ def _two_stage_single(
     # computed once, and the mean observable statistic comes with the moments.
     shifts = data @ lgm.interaction
     features = mog_statistics(mog.lat, projected)
-    stage2 = []
-    try:
-        for _ in range(cfg.stage2_iters):
-            mog = mog_em_step_from_statistics(mog, *features)
-            model = assemble_hmog(lgm, mog)
-            stage2.append(
-                hmog_mean_log_likelihood_from_terms(model, shifts, moments.statistic)
-            )
-    except DomainError as exc:
-        raise DomainError(f"stage 2 EM failed: {exc}") from exc
-    return lgm, mog, model, stage1, stage2
+
+    def stage2(mog, _):
+        mog = mog_em_step_from_statistics(mog, *features)
+        model = assemble_hmog(lgm, mog)
+        score = hmog_mean_log_likelihood_from_terms(model, shifts, moments.statistic)
+        return (mog, model), score
+
+    (mog, model), trace2 = _run_stage(
+        "stage 2", "stage2", stage2, (mog, None), cfg.stage2_iters
+    )
+    return lgm, mog, model, trace1, trace2
 
 
 def _points(data: Dataset | NDArray) -> NDArray:
@@ -502,6 +514,11 @@ def _fit(
     points = _points(data)
     start = time.perf_counter()
     moments = _fit_moments(points, cfg)
+
+    def unified(model, current):
+        model, diag = hmog_em_iteration(model, points, posterior_pass=current)
+        return (model, diag.posterior_pass), diag.log_likelihood_after
+
     best = None
     failure: Exception | None = None
     for restart in range(cfg.restarts):
@@ -510,23 +527,16 @@ def _fit(
                 points, cfg, cfg.seed + restart, moments
             )
             if cfg.unified:
-                stages.append([])
-                current = None
-                try:
-                    for _ in range(cfg.hmog_iters):
-                        model, diag = hmog_em_iteration(
-                            model, points, posterior_pass=current
-                        )
-                        current = diag.posterior_pass
-                        stages[-1].append(diag.log_likelihood_after)
-                except DomainError as exc:
-                    raise DomainError(f"unified EM failed: {exc}") from exc
+                (model, _), trace = _run_stage(
+                    "unified", "unified", unified, (model, None), cfg.hmog_iters
+                )
+                stages.append(trace)
         except DomainError as exc:
             # A restart that walks into a degenerate attractor (component
             # collapse) is a failed local attempt; keep the survivors.
             failure = exc
             continue
-        final = (stages[-1] or stages[-2])[-1]  # stage 2 is never empty
+        final = [score for trace in stages for score in trace.log_likelihoods][-1]
         if best is None or final > best[0]:
             best = (final, restart, lgm, mog, model, stages)
     if best is None:
@@ -536,10 +546,7 @@ def _fit(
         method=cfg.method, latent_dim=cfg.latent_dim, clusters=cfg.clusters,
         seed=cfg.seed, restart_index=restart,
         wall_time_s=time.perf_counter() - start,
-        stages=tuple(
-            StageTrace(name, tuple(values))
-            for name, values in zip(("stage1", "stage2", "unified"), stages)
-        ),
+        stages=tuple(stages),
         final_train_log_likelihood=final,
     )
 

@@ -63,6 +63,55 @@ class TestSynth:
         assert code == 0
         assert load_csv(out, label_column="cluster").points.shape == (50, 2)
 
+    def test_spec_needs_no_dimension_flags(self, fitted_model, tmp_path):
+        """Omitted flags read the model's dims: the output equals the flagged call's."""
+        outs = [tmp_path / "flagged.csv", tmp_path / "bare.csv"]
+        flags = ["--clusters", "2", "--latent-dim", "1", "--obs-dim", "2"]
+        for out, given in zip(outs, (flags, [])):
+            assert main([
+                "synth", *given, "--count", "50", "--seed", "1",
+                "--spec", str(fitted_model), "--out", str(out),
+            ]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--obs-dim", "4"], "--obs-dim 4, but --spec has dims.n = 2"),
+            (["--latent-dim", "2", "--obs-dim", "2"],
+             "--latent-dim 2, but --spec has dims.m = 1"),
+            (["--clusters", "9", "--latent-dim", "7", "--obs-dim", "2"],
+             "--clusters 9, but --spec has dims.k = 2"),
+        ],
+        ids=["obs-dim", "latent-dim", "clusters"],
+    )
+    def test_spec_rejects_other_dims(self, fitted_model, tmp_path, capsys, flags, message):
+        out = tmp_path / "out.csv"
+        code = main([
+            "synth", *flags, "--count", "10", "--seed", "0",
+            "--spec", str(fitted_model), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"hmog: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "missing, key", [("--clusters", "k"), ("--latent-dim", "m"), ("--obs-dim", "n")]
+    )
+    def test_dims_required_without_spec(self, tmp_path, capsys, missing, key):
+        flags = {"--clusters": "2", "--latent-dim": "1", "--obs-dim": "2"}
+        del flags[missing]
+        out = tmp_path / "out.csv"
+        code = main([
+            "synth", *(part for item in flags.items() for part in item),
+            "--count", "10", "--seed", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hmog: error: {missing} (dims.{key}) is required without --spec\n"
+        )
+        assert not out.exists()
+
 
 class TestFit:
     def test_model_json_schema(self, fitted_model):

@@ -387,7 +387,7 @@ class TestRestartLoop:
     @pytest.mark.parametrize(
         "method, name",
         [("two_stage_fa", STAGE2_STEP), ("hmog_fa", STAGE2_STEP),
-         ("hmog_fa", "hmog_em_iteration")],
+         ("hmog_fa", "hmog_em_iteration"), ("hmog_fa", "lgm_backward")],
     )
     def test_failed_restart_skipped(self, synthetic_data, monkeypatch, method, name):
         _, data = synthetic_data
@@ -404,7 +404,8 @@ class TestRestartLoop:
 
     @pytest.mark.parametrize(
         "method, name, error",
-        [("two_stage_pca", STAGE2_STEP, "stage 2 EM failed: injected"),
+        [("two_stage_fa", "lgm_backward", "stage 1 EM failed: injected"),
+         ("two_stage_pca", STAGE2_STEP, "stage 2 EM failed: injected"),
          pytest.param("hmog_pca", "hmog_em_iteration", "unified EM failed: injected",
                       id="hmog_pca-hmog_em_iteration-injected")],
     )
