@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+# Shifted logits at or below this skip `exp`, whose vector path slows tenfold
+# below about -708, and become exactly 0 (see `_exp_shifted`).
+EXP_FLOOR = -700.0
 
 
 class DomainError(ValueError):
@@ -124,12 +127,18 @@ def _exp_shifted(logits: NDArray) -> tuple[NDArray, NDArray]:
 
     Returns the column log-sum-exp and the column sums of the exponentials.
     The maximum is factored out before exponentiating, so no entry
-    overflows and the largest is exactly ``exp(0)``.
+    overflows and the largest is exactly ``exp(0)``; terms flushed at
+    ``EXP_FLOOR``, under 1e-304, leave both outputs bit for bit unchanged.
     """
-    top = np.max(logits, axis=0)
+    top = np.maximum.reduce(logits, axis=0)
     logits -= top
-    np.exp(logits, out=logits)
-    total = np.sum(logits, axis=0)
+    if np.minimum.reduce(logits, axis=None, initial=0.0) <= EXP_FLOOR:
+        kept = logits > EXP_FLOOR
+        np.exp(np.maximum(logits, EXP_FLOOR, out=logits), out=logits)
+        logits *= kept
+    else:
+        np.exp(logits, out=logits)
+    total = np.add.reduce(logits, axis=0)
     return top + np.log(total), total
 
 
@@ -145,6 +154,7 @@ def normalize_logits(logits: NDArray) -> tuple[NDArray, NDArray]:
     long last one, so every reduction is elementwise across contiguous
     rows. Returns the log-sum-exp (N,) and the posteriors (k, N), which
     are ``logits`` itself, overwritten; nothing is transposed or copied.
+    Posteriors of terms flushed at ``EXP_FLOOR`` (all under 1e-304) are 0.
     """
     lse, total = _exp_shifted(logits)
     logits /= total

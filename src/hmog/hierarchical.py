@@ -232,8 +232,8 @@ def _check_finite(h: Hmog) -> None:
         "theta_xy": h.obs_interaction,
         "theta_yz": h.lat_interaction,
     }
-    bad = [name for name, block in blocks.items() if not np.all(np.isfinite(block))]
-    if bad:
+    if not all(np.isfinite(block).all() for block in blocks.values()):
+        bad = [name for name, block in blocks.items() if not np.isfinite(block).all()]
         raise DomainError(f"non-finite parameters in {', '.join(bad)}")
 
 

@@ -12,21 +12,21 @@ stacked `families._cholesky`. Everything evaluated under
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
 one product of the stacked whitening maps with the shifts, a max-shift
-log-sum-exp over the component logits, and then only the outputs its
-caller reads: log-partitions, index posteriors, posterior feature means,
-or log-partitions and feature means with the data-summed per-component
-statistics. Inside the kernel the points run along the last (contiguous)
-axis of every temporary: whitened terms (k m, B), logits and posteriors
-(k, B), so each per-component reduction is a sum of whole rows and
-nothing is transposed or copied between steps. Every batch streams
-through one loop over fixed blocks of ``BLOCK_ROWS`` points in their
-order: per-point outputs are written block by block, and the data sums
-are added up across blocks in that fixed order, so no temporary grows
-with the batch beyond the outputs and results stay bit-stable from run
-to run. The conjugation parameters are read off the same factors. Mixture
-EM on observed features (stage 2 of two-stage training) keeps the same
-layout: the feature statistics are stored one column per point, and the
-(k, N) index logits come from one product with them.
+log-sum-exp over the component logits that flushes terms under e^-700 to
+0, and then only the outputs its caller reads: log-partitions, index
+posteriors, posterior feature means, or log-partitions and feature means
+with the data-summed per-component statistics. Inside the kernel the
+points run along the last (contiguous) axis of every temporary: whitened
+terms (k m, B), logits and posteriors (k, B), so each per-component
+reduction is a sum of whole rows and nothing is transposed or copied
+between steps. Every batch streams through one loop over fixed blocks of
+``BLOCK_ROWS`` points in their order: per-point outputs are written block
+by block, and the data sums are added up across blocks in that fixed
+order, so no temporary grows with the batch beyond the outputs and results
+stay bit-stable. The conjugation parameters are read off the same factors.
+Mixture EM on observed features (stage 2 of two-stage training) keeps the
+same layout: the feature statistics are stored one column per point, and
+the (k, N) index logits come from one product with them.
 
 Component conversions are stacked: the forward map and `mog_to_standard`
 read every component's mean and covariance off the prepared factors. The
@@ -335,8 +335,8 @@ class MixturePosterior:
 # Rows of shifts per kernel block. A block's whitened terms and weighted
 # moments, (k m, BLOCK_ROWS) each, stay cache-sized; much larger blocks make
 # the pass bound by memory traffic. At k m = 40 and N = 1e5 (2-CPU x86_64,
-# OpenBLAS on one thread, best of 12), 2048 rows beat 1024 by 4-11% on the
-# partition and posteriors needs and tie on means and stats; 4096 is slower.
+# OpenBLAS on one thread, best of 24), 2048 rows beat 1024 by 3-12% on
+# partition, posteriors and means, lose 8-10% on stats; 4096 is no faster.
 BLOCK_ROWS = 2048
 
 

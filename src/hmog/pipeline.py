@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -146,8 +147,8 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 
     A header is detected when the first row has any non-numeric cell. With
     ``label_column`` set, that column is extracted and its distinct values
-    are mapped onto ``1..L`` in sorted order. Malformed input raises
-    ValueError pinpointing the row and column.
+    are mapped onto ``1..L`` in sorted order. Malformed input (a ragged row,
+    a non-numeric or non-finite cell) raises ValueError at its row and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if row]
@@ -190,6 +191,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 raise ValueError(
                     f"{path}: non-numeric cell at row {r}, column {c + 1}: {cell!r}"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(
+                    f"{path}: non-finite cell at row {r}, column {c + 1}: {cell!r}"
+                )
         points.append(values)
 
     matrix = np.asarray(points, dtype=float)

@@ -158,6 +158,22 @@ class TestFit:
             f"hmog: error: {data}: non-numeric cell at row 2, column 3: 'setosa'\n"
         )
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    def test_non_finite_cell_reported(self, tmp_path, capsys, cell):
+        """A cell that parses as a float but is not finite: one error line, status 2."""
+        data = tmp_path / "points.csv"
+        data.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        code = main([
+            "fit", "--input", str(data), "--method", "hmog-fa",
+            "--latent-dim", "1", "--clusters", "2", "--seed", "0",
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hmog: error: {data}: non-finite cell at row 3, column 2: {cell!r}\n"
+        )
+        assert not (tmp_path / "model.json").exists()
+
     def test_latent_dim_above_data_dimension_reported(self, tmp_path, capsys):
         """Iris has 4 coordinates: a 5-dimensional fit fails before any restart."""
         iris = Path(__file__).parent / "data" / "iris.csv"
@@ -223,6 +239,20 @@ class TestProjectClassify:
         assert capsys.readouterr().err == (
             f"hmog: error: {synth_csv}: 3 columns, but the model expects dims.n = 2\n"
         )
+
+    def test_non_finite_cell_reported(self, fitted_model, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text("x_1,x_2\n1.0,2.0\n3.0,4.0\ninf,5.0\n")
+        out = tmp_path / "proj.csv"
+        code = main([
+            "project", "--model", str(fitted_model),
+            "--input", str(data), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"hmog: error: {data}: non-finite cell at row 4, column 1: 'inf'\n"
+        )
+        assert not out.exists()
 
     def test_classify_output(self, synth_csv, fitted_model, tmp_path):
         data = load_csv(synth_csv, label_column="cluster")

@@ -10,14 +10,18 @@ from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp, softmax
 
 from hmog.families import (
+    EXP_FLOOR,
     Categorical,
     DomainError,
     MultivariateNormal,
     Structure,
+    _exp_shifted,
     _spd_inverse,
     log_sum_exp,
     normalize_logits,
 )
+from hmog.hierarchical import hmog_classify_batch
+from hmog.pipeline import default_synthetic_hmog, gen_synthetic
 
 ALL_STRUCTURES = [Structure.FULL, Structure.DIAGONAL, Structure.ISOTROPIC]
 
@@ -134,8 +138,27 @@ class TestCategoricalMappings:
             Categorical(2).to_natural(np.array([1.0]))
 
 
+def beyond_floor_logits() -> np.ndarray:
+    """(8, 400) logits spread far below their column maxima.
+
+    The first four columns have their maximum 0 in row 0 and hold, in row
+    1, a logit at ``EXP_FLOOR`` exactly, just above it, just below it, and
+    where ``exp`` returns a subnormal or zero.
+    """
+    rng = np.random.default_rng(71)
+    logits = rng.uniform(-2000.0, 0.0, size=(8, 400))
+    edges = [EXP_FLOOR, EXP_FLOOR + 1e-9, EXP_FLOOR - 1e-9, -745.5]
+    logits[0, : len(edges)] = 0.0
+    logits[1, : len(edges)] = edges
+    return logits
+
+
 class TestNormalizeLogits:
-    """Column-wise log-sum-exp and softmax of (k, N) logits against scipy."""
+    """Column-wise log-sum-exp and softmax of (k, N) logits against scipy.
+
+    Terms at or below ``e^EXP_FLOOR`` of their column maximum are flushed to
+    exactly 0 before ``exp``; nothing else changes.
+    """
 
     @pytest.mark.parametrize("k", [1, 8])
     @pytest.mark.parametrize("spread", [1.0, 700.0])
@@ -158,6 +181,66 @@ class TestNormalizeLogits:
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(lse[:4], logits[0, :4] + math.log(k))
         np.testing.assert_allclose(probs[:, :4], 1.0 / k, rtol=1e-15, atol=0)
+
+    def test_totals_bit_equal_and_posteriors_flushed(self):
+        """Totals as the plain max-shift formula's; flushed posteriors are 0."""
+        logits = beyond_floor_logits()
+        top = np.max(logits, axis=0)
+        plain = np.exp(logits - top)
+        plain_total = np.sum(plain, axis=0)
+        plain_lse = top + np.log(plain_total)
+        flushed = logits - top <= EXP_FLOOR
+        np.testing.assert_array_equal(flushed[1, :4], [True, False, True, True])
+        assert 0.1 < flushed.mean() < 0.9
+
+        lse, total = _exp_shifted(logits.copy())
+        np.testing.assert_array_equal(lse, plain_lse)
+        np.testing.assert_array_equal(total, plain_total)
+        np.testing.assert_array_equal(log_sum_exp(logits.copy()), plain_lse)
+        lse_too, probs = normalize_logits(logits.copy())
+        np.testing.assert_array_equal(lse_too, plain_lse)
+        np.testing.assert_allclose(lse, logsumexp(logits, axis=0), rtol=1e-14, atol=1e-14)
+        assert np.all(probs[flushed] == 0.0)
+        expected = softmax(logits, axis=0)
+        np.testing.assert_allclose(probs[~flushed], expected[~flushed], rtol=1e-12, atol=0)
+        assert probs[1, 1] > 0.0
+
+    def test_empty_batch(self):
+        """The floor check reduces over no entries without failing."""
+        lse = log_sum_exp(np.zeros((3, 0)))
+        lse_too, probs = normalize_logits(np.zeros((3, 0)))
+        assert lse.shape == lse_too.shape == (0,)
+        assert probs.shape == (3, 0)
+
+    @staticmethod
+    def smallest_exp_arguments(monkeypatch) -> list[float]:
+        """Record the smallest argument of every later ``np.exp`` call."""
+        seen, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            seen.append(float(np.min(x, initial=np.inf)))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        return seen
+
+    def test_log_sum_exp_stays_on_the_fast_path(self, monkeypatch):
+        logits = beyond_floor_logits()
+        seen = self.smallest_exp_arguments(monkeypatch)
+        log_sum_exp(logits.copy())
+        normalize_logits(logits.copy())
+        assert len(seen) == 2
+        assert min(seen) == EXP_FLOOR  # terms were flushed, none passed below
+
+    def test_classify_stays_on_the_fast_path(self, monkeypatch):
+        """Well-separated clusters put posterior logits far below the floor."""
+        model = default_synthetic_hmog(8, 5, 50)
+        points = gen_synthetic(model, 300, 3).points
+        seen = self.smallest_exp_arguments(monkeypatch)
+        probs = hmog_classify_batch(model, points)
+        assert seen and min(seen) == EXP_FLOOR
+        assert np.any(probs == 0.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 class TestCategoricalBatch:
