@@ -35,7 +35,9 @@ numpy's LAPACK Cholesky: `_cholesky` returns the lower factors of a
 stack and `_spd_inverse` turns one such factorization into inverses and
 log-determinants. Non-finite or indefinite input raises DomainError with
 the caller's context. The other modules call these two helpers and
-factor nothing themselves.
+factor nothing themselves; a normal draw around given means goes through
+`MultivariateNormal._draw`, which takes a dense covariance's Cholesky
+factor or structured variances' square roots.
 """
 
 from __future__ import annotations
@@ -122,6 +124,13 @@ def _freeze(model, *names: str) -> None:
         object.__setattr__(model, name, view)
 
 
+def _check_shapes(blocks: dict, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise ValueError ``"<name>: shape (...), expected (...)"`` at the first misfit."""
+    for name, shape in shapes.items():
+        if blocks[name].shape != shape:
+            raise ValueError(f"{name}: shape {blocks[name].shape}, expected {shape}")
+
+
 def _exp_shifted(logits: NDArray) -> tuple[NDArray, NDArray]:
     """``logits`` (k, N) becomes ``exp(logits - column max)`` in place.
 
@@ -173,6 +182,8 @@ class Categorical:
     The natural parameter vector has length ``num_categories - 1``; the
     sufficient statistic of category 1 is the zero vector and category
     ``z > 1`` maps to the indicator vector with a one at slot ``z - 1``.
+    The log-partition, the forward map and the probabilities are all read
+    off one column of logits, the reference category's zero on top.
     """
 
     num_categories: int
@@ -206,32 +217,27 @@ class Categorical:
     def log_base_measure(self, z: int) -> float:
         return 0.0
 
-    def log_partition(self, theta: NDArray) -> float:
-        """log(1 + sum_i exp(theta_i)), the one-row `log_partition_batch`."""
+    def _padded(self, thetas: NDArray) -> NDArray:
+        """Logits (k, N) of rows of ``thetas`` (N, k - 1), the reference's zero first."""
+        thetas = np.asarray(thetas, dtype=float)
+        return np.vstack([np.zeros(len(thetas)), thetas.T])
+
+    def _column(self, theta: NDArray) -> NDArray:
+        """The logit column (k, 1) of one checked natural vector."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.param_dim,):
             raise ValueError(f"expected {self.param_dim} natural parameters")
         if not np.all(np.isfinite(theta)):
             raise DomainError("non-finite categorical natural parameters")
-        return float(self.log_partition_batch(theta[None, :])[0])
+        return self._padded(theta[None, :])
 
-    def _padded(self, thetas: NDArray) -> NDArray:
-        """Logits (k, N) of all categories for rows of ``thetas`` (N, k - 1).
-
-        The reference category's row is zero.
-        """
-        thetas = np.asarray(thetas, dtype=float)
-        logits = np.zeros((self.num_categories, thetas.shape[0]))
-        logits[1:] = thetas.T
-        return logits
-
-    def log_partition_batch(self, thetas: NDArray) -> NDArray:
-        return log_sum_exp(self._padded(thetas))
+    def log_partition(self, theta: NDArray) -> float:
+        """log(1 + sum_i exp(theta_i))."""
+        return float(log_sum_exp(self._column(theta))[0])
 
     def to_mean(self, theta: NDArray) -> NDArray:
         """Forward mapping: eta_i = exp(theta_i) / (1 + sum_j exp(theta_j))."""
-        psi = self.log_partition(theta)
-        return np.exp(np.asarray(theta, dtype=float) - psi)
+        return self.probabilities(theta)[1:]
 
     def to_mean_batch(self, thetas: NDArray) -> NDArray:
         """Probability rows (N, num_categories - 1) of the non-reference categories."""
@@ -253,8 +259,7 @@ class Categorical:
 
     def probabilities(self, theta: NDArray) -> NDArray:
         """Full probability vector over all ``num_categories`` indices."""
-        mean = self.to_mean(theta)
-        return np.concatenate([[1.0 - float(np.sum(mean))], mean])
+        return normalize_logits(self._column(theta))[1][:, 0]
 
     def log_density(self, theta: NDArray, z: int) -> float:
         stat = self.sufficient_statistic(z)
@@ -262,11 +267,7 @@ class Categorical:
 
     def sample(self, theta: NDArray, size: int, rng: np.random.Generator) -> NDArray:
         """i.i.d. category indices in ``1..num_categories``."""
-        # float noise in the complement can dip a hair below zero at
-        # extreme parameters; clean it up for the sampler only
-        probs = np.clip(self.probabilities(theta), 0.0, None)
-        probs = probs / probs.sum()
-        return rng.choice(self.num_categories, size=size, p=probs) + 1
+        return rng.choice(self.num_categories, size=size, p=self.probabilities(theta)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +600,11 @@ class MultivariateNormal:
 
     def sample(self, theta: NDArray, size: int, rng: np.random.Generator) -> NDArray:
         """i.i.d. draws, shape ``(size, dim)``; deterministic given ``rng``."""
-        mu, cov = self.to_mean_cov(theta)
+        return self._draw(*self.to_mean_cov(theta), size, rng, "covariance")
+
+    def _draw(self, means: NDArray, cov, size: int, rng, context: str) -> NDArray:
+        """``size`` draws around ``means`` of covariance ``cov`` (dense, or variances)."""
         noise = rng.standard_normal((size, self.dim))
         if self.structure is Structure.FULL:
-            return mu + noise @ _cholesky(cov, "covariance").T
-        return mu + noise * np.sqrt(cov)
+            return means + noise @ _cholesky(cov, context).T
+        return means + noise * np.sqrt(cov)

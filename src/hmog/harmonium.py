@@ -13,7 +13,9 @@ evaluates densities through it, and provides the generic EM iteration
 skeleton. The models' own EM steps reduce the data once per fit or
 restart instead (`linear_gaussian.lgm_moment_pass`,
 `mixture.mog_em_step_from_statistics`); the skeleton is the reference
-they are tested against.
+they are tested against. Every model's E-step result is one `EStep`: the
+mean log-likelihood of the current model and the mean-coordinate target
+that its closed-form backward map takes to the next iterate.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -26,11 +28,12 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import DomainError
+from .families import DomainError, _check_shapes
 
 __all__ = [
     "Harmonium",
     "ConjugationParams",
+    "EStep",
     "posterior_natural_params",
     "check_conjugation",
     "conjugated_log_partition",
@@ -59,10 +62,7 @@ class Harmonium:
 
     def __post_init__(self) -> None:
         expected = (self.obs.param_dim, self.lat.param_dim)
-        if self.interaction.shape != expected:
-            raise ValueError(
-                f"interaction shape {self.interaction.shape}, expected {expected}"
-            )
+        _check_shapes(vars(self), {"interaction": expected})
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,19 @@ class ConjugationParams:
 
     rho: NDArray
     rho0: float
+
+
+@dataclass(frozen=True)
+class EStep:
+    """One model's E-step on one dataset.
+
+    ``mean_log_likelihood`` is the mean observable log-density of the data
+    under the model, and ``target`` the data-averaged mean-coordinate
+    blocks that the model's backward map takes to the next EM iterate.
+    """
+
+    mean_log_likelihood: float
+    target: tuple[NDArray, ...]
 
 
 def posterior_natural_params(h: Harmonium, x) -> NDArray:

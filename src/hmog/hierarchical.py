@@ -25,13 +25,18 @@ through the `mixture` wrapper that returns only what the caller reads:
 log-densities (`shifted_log_partition`), cluster posteriors
 (`shifted_posteriors`), projections (`shifted_feature_means`, no second
 moments), and the fused log-likelihood plus E-step target
-(`mixture_posterior_stats`, in `hmog_posterior_pass`). The kernel streams
-over blocks of `mixture.BLOCK_ROWS` rows and adds up its data sums across
-blocks in a fixed order; beyond those sums, a pass holds only the (N, m)
-shifts and its own per-point outputs, whatever N is. Mean
+(`mixture_posterior_stats`, in `hmog_posterior_pass`, one `harmonium.EStep`).
+The kernel streams over blocks of `mixture.BLOCK_ROWS` rows and adds up its
+data sums across blocks in a fixed order; beyond those sums, a pass holds
+only the (N, m) shifts and its own per-point outputs, whatever N is. Mean
 log-likelihoods take the observable term from the mean statistic, so the
 fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
 Model blocks are read-only, so prepared state never goes stale.
+
+The six natural-parameter blocks are named once, in `BLOCK_NAMES`;
+`block_shapes` gives their shapes and `hmog_blocks` a model's blocks:
+the model's own shape check, the finiteness check, the flat packing and
+the model JSON all go through the two.
 
 The maximization step is exact and closed-form: log p(x, y, z) splits
 into log p(x | y) + log p(y, z) over disjoint parameter blocks, so the
@@ -46,15 +51,23 @@ next iteration takes it as its E-step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import Categorical, DomainError, MultivariateNormal, Structure, _freeze
+from .families import (
+    Categorical,
+    DomainError,
+    MultivariateNormal,
+    Structure,
+    _check_shapes,
+    _freeze,
+)
+from .harmonium import ConjugationParams, EStep
 from .linear_gaussian import (
     LinearGaussianModel,
-    _conjugation,
     _draw_observations,
     lgm_backward,
     lgm_conditional_forward,
@@ -75,7 +88,6 @@ from .mixture import (
 __all__ = [
     "Hmog",
     "PreparedHmog",
-    "PosteriorPass",
     "HmogEmDiagnostics",
     "hmog_log_partition",
     "hmog_joint_log_density",
@@ -91,12 +103,18 @@ __all__ = [
     "assemble_hmog",
     "disassemble_hmog",
     "hmog_sample",
+    "block_shapes",
+    "hmog_blocks",
+    "hmog_from_blocks",
     "pack_params",
     "unpack_params",
     "pack_means",
     "block_slices",
     "valid_blocks",
 ]
+
+# The six natural-parameter blocks of a model by their JSON names, in flat order.
+BLOCK_NAMES = ("theta_x_mu", "theta_xx", "theta_y", "theta_z", "theta_xy", "theta_yz")
 
 
 @dataclass(frozen=True)
@@ -109,9 +127,11 @@ class Hmog:
     The observable structure is isotropic (PCA-style) or diagonal
     (factor-analysis-style).
 
-    The blocks are read-only, because `prepared` caches state derived
-    from them. `dataclasses.replace` gives a fresh instance with its own
-    prepared state.
+    The six natural-parameter blocks are named in `BLOCK_NAMES`, and a
+    block of the wrong shape raises ValueError naming it. The blocks are
+    read-only, because `prepared` caches state derived from them.
+    `dataclasses.replace` gives a fresh instance with its own prepared
+    state.
     """
 
     obs: MultivariateNormal
@@ -129,12 +149,9 @@ class Hmog:
             raise ValueError("observable structure must be isotropic or diagonal")
         if self.lat.structure is not Structure.FULL:
             raise ValueError("feature family must have full covariance structure")
-        if self.obs_interaction.shape != (self.obs.dim, self.lat.dim):
-            raise ValueError("obs_interaction must be (obs dim) x (feature dim)")
-        if self.lat_interaction.shape != (self.lat.param_dim, len(self.cat_params)):
-            raise ValueError(
-                "lat_interaction must be (feature param dim) x (clusters - 1)"
-            )
+        _check_shapes(
+            hmog_blocks(self), block_shapes(self.obs, self.lat, self.num_clusters)
+        )
 
     @property
     def obs_dim(self) -> int:
@@ -175,20 +192,6 @@ class PreparedHmog:
 
 
 @dataclass(frozen=True)
-class PosteriorPass:
-    """The fused pass of one model over one dataset.
-
-    ``mean_log_likelihood`` is the mean observable log-density and
-    ``target`` the E-step target ``(eta_obs, eta_lat, eta_cat, cross_xy,
-    cross_yz)``, the blocks `hmog_forward` returns; one kernel pass yields
-    both.
-    """
-
-    mean_log_likelihood: float
-    target: tuple[NDArray, NDArray, NDArray, NDArray, NDArray]
-
-
-@dataclass(frozen=True)
 class HmogEmDiagnostics:
     """Per-iteration EM bookkeeping.
 
@@ -202,7 +205,7 @@ class HmogEmDiagnostics:
     log_likelihood_before: float
     log_likelihood_after: float
     m_step_discarded: bool = False
-    posterior_pass: PosteriorPass | None = None
+    posterior_pass: EStep | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +226,7 @@ def _likelihood_lgm(h: Hmog) -> LinearGaussianModel:
 
 def _check_finite(h: Hmog) -> None:
     """Raise DomainError naming every parameter block with a non-finite entry."""
-    n = h.obs.dim
-    blocks = {
-        "theta_x_mu": h.obs_params[:n],
-        "theta_xx": h.obs_params[n:],
-        "theta_y": h.lat_params,
-        "theta_z": h.cat_params,
-        "theta_xy": h.obs_interaction,
-        "theta_yz": h.lat_interaction,
-    }
+    blocks = hmog_blocks(h)
     if not all(np.isfinite(block).all() for block in blocks.values()):
         bad = [name for name, block in blocks.items() if not np.isfinite(block).all()]
         raise DomainError(f"non-finite parameters in {', '.join(bad)}")
@@ -247,10 +242,7 @@ def _prepare(h: Hmog) -> PreparedHmog:
     term to those, so they are then valid as well.
     """
     _check_finite(h)
-    try:
-        conj = _conjugation(_likelihood_lgm(h))
-    except DomainError as exc:
-        raise DomainError(f"theta_xx: {exc}") from None
+    conj = _likelihood_conjugation(_likelihood_lgm(h))
     prior = MixtureModel(
         lat=h.lat,
         base_params=h.lat_params + conj.rho,
@@ -258,6 +250,14 @@ def _prepare(h: Hmog) -> PreparedHmog:
         interaction=h.lat_interaction,
     )
     return _prepared_hmog(h, prior, conj.rho0)
+
+
+def _likelihood_conjugation(lgm: LinearGaussianModel) -> ConjugationParams:
+    """The likelihood's conjugation parameters; a DomainError names ``theta_xx``."""
+    try:
+        return lgm_conjugation_parameters(lgm)
+    except DomainError as exc:
+        raise DomainError(f"theta_xx: {exc}") from None
 
 
 def _prepared_hmog(h: Hmog, prior: MixtureModel, rho0: float) -> PreparedHmog:
@@ -378,37 +378,48 @@ def block_slices(h: Hmog) -> dict[str, slice]:
     return slices
 
 
+def block_shapes(
+    obs: MultivariateNormal, lat: MultivariateNormal, clusters: int
+) -> dict[str, tuple[int, ...]]:
+    """The shapes of the `BLOCK_NAMES` blocks of a model with these dimensions."""
+    m, p, k = lat.dim, lat.param_dim, clusters - 1
+    shapes = ((obs.dim,), (obs.second_dim,), (p,), (k,), (obs.dim, m), (p, k))
+    return dict(zip(BLOCK_NAMES, shapes))
+
+
+def hmog_blocks(h: Hmog) -> dict[str, NDArray]:
+    """The blocks of ``h`` by their `BLOCK_NAMES`."""
+    n = h.obs.dim
+    blocks = (h.obs_params[:n], h.obs_params[n:], h.lat_params, h.cat_params,
+              h.obs_interaction, h.lat_interaction)
+    return dict(zip(BLOCK_NAMES, blocks))
+
+
+def hmog_from_blocks(
+    obs: MultivariateNormal, lat: MultivariateNormal, blocks: dict[str, NDArray]
+) -> Hmog:
+    """The model whose `hmog_blocks` are ``blocks``, given in `BLOCK_NAMES` order."""
+    x_mu, xx, *rest = blocks.values()
+    return Hmog(obs, lat, np.concatenate([x_mu, xx]), *rest)
+
+
 def pack_params(h: Hmog) -> NDArray:
-    """Flatten all free natural parameters into one vector."""
-    return np.concatenate(
-        [
-            h.obs_params,
-            h.lat_params,
-            h.cat_params,
-            h.obs_interaction.ravel(),
-            h.lat_interaction.ravel(),
-        ]
-    )
+    """Flatten all free natural parameters into one vector, block by block."""
+    return np.concatenate([block.ravel() for block in hmog_blocks(h).values()])
 
 
 def unpack_params(template: Hmog, flat: NDArray) -> Hmog:
     """Rebuild a model from a flat vector, using ``template`` for shapes."""
     flat = np.asarray(flat, dtype=float)
-    slices = block_slices(template)
-    obs_params = flat[: slices["lat_first"].start]
-    lat_params = flat[slices["lat_first"].start : slices["cat"].start]
-    cat_params = flat[slices["cat"]]
-    obs_int = flat[slices["obs_interaction"]].reshape(template.obs_interaction.shape)
-    lat_int = flat[slices["lat_interaction"]].reshape(template.lat_interaction.shape)
-    return Hmog(
-        obs=template.obs,
-        lat=template.lat,
-        obs_params=obs_params,
-        lat_params=lat_params,
-        cat_params=cat_params,
-        obs_interaction=obs_int,
-        lat_interaction=lat_int,
-    )
+    shapes = block_shapes(template.obs, template.lat, template.num_clusters)
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"expected a flat vector of length {ends[-1]}, got {flat.shape}")
+    blocks = {
+        name: part.reshape(shape)
+        for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1]))
+    }
+    return hmog_from_blocks(template.obs, template.lat, blocks)
 
 
 def pack_means(
@@ -484,7 +495,7 @@ def hmog_forward(
     return eta_obs, eta_lat, eta_cat, cross_xy, cross_yz
 
 
-def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
+def hmog_posterior_pass(h: Hmog, xs: NDArray) -> EStep:
     """Mean log-likelihood and E-step target from one kernel pass.
 
     Per sample, the feature-cluster posterior is the posterior mixture
@@ -492,7 +503,8 @@ def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
     the log-likelihood), the posterior feature means (whose outer products
     with the observations fill the feature-observation block), and the
     data-summed feature statistics per component (the feature and
-    feature-cluster blocks).
+    feature-cluster blocks). The target holds the blocks `hmog_forward`
+    returns, ``(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)``.
     """
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
@@ -500,7 +512,7 @@ def hmog_posterior_pass(h: Hmog, xs: NDArray) -> PosteriorPass:
     return _posterior_pass(h, xs, h.obs.mean_statistics(xs))
 
 
-def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> PosteriorPass:
+def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> EStep:
     """`hmog_posterior_pass` given the mean observable statistic of ``xs``."""
     count = len(xs)
     post = mixture_posterior_stats(h.prepared.posterior, xs @ h.obs_interaction)
@@ -512,7 +524,7 @@ def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> PosteriorPass:
         xs.T @ post.feature_means / count,
         stats[1:].T,
     )
-    return PosteriorPass(_mean_log_likelihood(h, eta_obs, post.log_partition), target)
+    return EStep(_mean_log_likelihood(h, eta_obs, post.log_partition), target)
 
 
 def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
@@ -524,7 +536,7 @@ def hmog_posterior_stats(h: Hmog, xs: NDArray) -> NDArray:
 
 
 def hmog_em_iteration(
-    h: Hmog, xs: NDArray, *, posterior_pass: PosteriorPass | None = None
+    h: Hmog, xs: NDArray, *, posterior_pass: EStep | None = None
 ) -> tuple[Hmog, HmogEmDiagnostics]:
     """One EM iteration: closed-form E-step, exact closed-form M-step.
 
@@ -600,10 +612,7 @@ def assemble_hmog(lgm: LinearGaussianModel, mog: MixtureModel) -> Hmog:
         raise ValueError(
             f"feature dimensions disagree: likelihood {lgm.lat.dim}, mixture {mog.dim}"
         )
-    try:
-        conj = lgm_conjugation_parameters(lgm)
-    except DomainError as exc:
-        raise DomainError(f"theta_xx: {exc}") from None
+    conj = _likelihood_conjugation(lgm)
     h = Hmog(
         obs=lgm.obs,
         lat=mog.lat,
@@ -626,14 +635,9 @@ def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
     `assemble_hmog` of the result reproduces the input exactly.
     """
     standard = h.lat.from_mean_cov(np.zeros(h.lat.dim), np.eye(h.lat.dim))
-    lgm = LinearGaussianModel(
-        obs=h.obs,
-        lat=h.lat,
-        obs_params=h.obs_params,
-        lat_params=standard - _conjugation(_likelihood_lgm(h)).rho,
-        interaction=h.obs_interaction,
-    )
-    return lgm, h.prepared.prior
+    lgm = _likelihood_lgm(h)
+    rho = _likelihood_conjugation(lgm).rho
+    return replace(lgm, lat_params=standard - rho), h.prepared.prior
 
 
 def hmog_sample(

@@ -16,8 +16,8 @@ mean, centred covariance ``C`` and mean observable statistic
 (`DataMoments`; Rubin & Thayer 1982, Ghahramani & Hinton 1996). Those cost
 O(N n^2) time once per dataset and O(n^2) memory; after that one
 `lgm_moment_pass` per EM step scores the current model and yields the next
-step's E-step target from the single O(n^2 m) product ``C @ W``, with no
-pass over the points.
+step's E-step target, together one `harmonium.EStep`, from the single
+O(n^2 m) product ``C @ W``, with no pass over the points.
 
 Dense blocks (the feature precision, and the observable one under FULL
 structure) are factored only through `families._cholesky` and
@@ -25,7 +25,8 @@ structure) are factored only through `families._cholesky` and
 ``C_yy^{-1}`` off one inverse, and `lgm_moment_pass` takes log p(xbar)'s
 posterior log-partition from the same factor that gives the posterior
 covariance; `lgm_backward` seeds each model's conjugation parameters and
-log-partition.
+log-partition. Draws from the conditional p(x | y) go through the
+observable family's own normal draw (`MultivariateNormal._draw`).
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .families import DomainError, MultivariateNormal, Structure, _cholesky, _freeze
+from .families import DomainError, MultivariateNormal, Structure, _check_shapes, _freeze
 from .families import _spd_inverse
-from .harmonium import ConjugationParams, Harmonium
+from .harmonium import ConjugationParams, EStep, Harmonium
 
 __all__ = [
     "LinearGaussianModel",
     "DataMoments",
-    "MomentPass",
     "data_moments",
     "lgm_moment_pass",
     "lgm_conjugation_parameters",
@@ -70,7 +70,8 @@ class LinearGaussianModel:
     ``obs`` carries the covariance structure (ISOTROPIC for PCA-style
     models, DIAGONAL for factor analysis, FULL for the unrestricted
     joint); the feature family is always full-covariance. ``interaction``
-    is the ``n x m`` first-order coupling block.
+    is the ``n x m`` first-order coupling block. A block of the wrong
+    shape raises ValueError naming it.
     """
 
     obs: MultivariateNormal
@@ -83,11 +84,11 @@ class LinearGaussianModel:
         _freeze(self, "obs_params", "lat_params", "interaction")
         if self.lat.structure is not Structure.FULL:
             raise ValueError("feature family must have full covariance structure")
-        if self.interaction.shape != (self.obs.dim, self.lat.dim):
-            raise ValueError(
-                f"interaction shape {self.interaction.shape}, "
-                f"expected {(self.obs.dim, self.lat.dim)}"
-            )
+        _check_shapes(vars(self), {
+            "obs_params": (self.obs.param_dim,),
+            "lat_params": (self.lat.param_dim,),
+            "interaction": (self.obs.dim, self.lat.dim),
+        })
 
     @property
     def obs_dim(self) -> int:
@@ -291,21 +292,11 @@ def data_moments(obs: MultivariateNormal, xs: NDArray) -> DataMoments:
     )
 
 
-@dataclass(frozen=True)
-class MomentPass:
-    """One model on one dataset's moments.
-
-    ``mean_log_likelihood`` is the mean observable log-density of the
-    data and ``target`` the data-averaged ``(eta_X, eta_Y, H_XY)`` that
-    `lgm_backward` maps to the next EM iterate.
-    """
-
-    mean_log_likelihood: float
-    target: tuple[NDArray, NDArray, NDArray]
-
-
-def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> MomentPass:
+def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> EStep:
     """Mean log-likelihood and E-step target from the data moments alone.
+
+    The target is the data-averaged ``(eta_X, eta_Y, H_XY)`` that
+    `lgm_backward` maps to the next EM iterate.
 
     Every posterior p(y | x) shares the covariance ``S = (-2 Theta_Y)^{-1}``
     and has mean ``mu(x) = S (theta_Y + W^T x)``, affine in x, and log p(x)
@@ -345,7 +336,7 @@ def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> MomentP
     second_y = cov + np.outer(mean_y, mean_y) + cov @ spread @ cov
     cross = np.outer(moments.mean, mean_y) + c_w @ cov
     target = (moments.statistic, lat.join_mean(mean_y, second_y), cross)
-    return MomentPass(mean_log_likelihood=float(mean_ll), target=target)
+    return EStep(mean_log_likelihood=float(mean_ll), target=target)
 
 
 def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianModel:
@@ -471,10 +462,7 @@ def _draw_observations(
         model.obs_params, "observable natural parameters"
     )
     means = solve((first[:, None] + model.interaction @ ys.T)).T
-    noise = rng.standard_normal((len(ys), model.obs.dim))
-    if model.obs.structure is Structure.FULL:
-        return means + noise @ _cholesky(cov, "noise covariance").T
-    return means + noise * np.sqrt(cov)
+    return model.obs._draw(means, cov, len(ys), rng, "noise covariance")
 
 
 def lgm_joint_params(model: LinearGaussianModel) -> tuple[MultivariateNormal, NDArray]:

@@ -8,7 +8,8 @@ construction, which gives closed-form densities, posteriors, and EM.
 
 Each model holds its stacked component factors in `MixtureModel.prepared`,
 seeded by the backward map (below) or factored on first use with one
-stacked `families._cholesky`. Everything evaluated under
+stacked `families._cholesky`; the kernel reads the whitening maps in one
+stacked layout and its transpose. Everything evaluated under
 per-sample first-order shifts of the base (the shape of every feature
 posterior of a hierarchical model) is one kernel pass over those factors:
 one product of the stacked whitening maps with the shifts, a max-shift
@@ -54,6 +55,7 @@ from .families import (
     DomainError,
     MultivariateNormal,
     Structure,
+    _check_shapes,
     _cholesky,
     _freeze,
     log_sum_exp,
@@ -93,7 +95,8 @@ class MixtureModel:
     ``base_params`` are the flat natural parameters of component 1;
     ``interaction`` has one column per non-reference component, holding the
     natural-parameter offset of that component; ``cat_params`` are the
-    ``k - 1`` categorical natural parameters of the index variable.
+    ``k - 1`` categorical natural parameters of the index variable. A
+    block of the wrong shape raises ValueError naming it.
     """
 
     lat: MultivariateNormal
@@ -105,11 +108,9 @@ class MixtureModel:
         _freeze(self, "base_params", "cat_params", "interaction")
         if self.lat.structure is not Structure.FULL:
             raise ValueError("mixture components use the full-covariance family")
-        expected = (self.lat.param_dim, len(self.cat_params))
-        if self.interaction.shape != expected:
-            raise ValueError(
-                f"interaction shape {self.interaction.shape}, expected {expected}"
-            )
+        p, k = self.lat.param_dim, self.num_components - 1
+        shapes = {"base_params": (p,), "cat_params": (k,), "interaction": (p, k)}
+        _check_shapes(vars(self), shapes)
 
     @property
     def num_components(self) -> int:
@@ -266,12 +267,11 @@ class PreparedMixture:
     logit, ``theta_Z . s_Z(z) - 1/2 log|P_z|``; and ``log_partitions`` the
     unshifted component log-partitions.
 
-    The kernel keeps points on the last axis, so it reads the whitening
-    maps in two layouts: ``whiten_tall`` (k m, m) stacks the transposed
-    maps, so that one product with shift columns (m, N) gives the whitened
-    terms of every component, rows ``(z - 1) m`` to ``z m - 1`` for
-    component ``z``; ``unwhiten_wide`` (m, k m) sets the maps side by side
-    and takes those rows back to feature space.
+    The kernel keeps points on the last axis: ``whiten_tall`` (k m, m)
+    stacks the transposed maps, so that one product with shift columns
+    (m, N) gives the whitened terms of every component, rows ``(z - 1) m``
+    to ``z m - 1`` for component ``z``; its transpose sets the maps side by
+    side and takes those rows back to feature space.
     """
 
     whiten: NDArray
@@ -279,7 +279,6 @@ class PreparedMixture:
     bias: NDArray
     log_partitions: NDArray
     whiten_tall: NDArray
-    unwhiten_wide: NDArray
 
 
 def _prepared(whiten, offsets, logdets, cat_params) -> PreparedMixture:
@@ -291,7 +290,6 @@ def _prepared(whiten, offsets, logdets, cat_params) -> PreparedMixture:
         bias=np.concatenate([[0.0], cat_params]) + 0.5 * logdets,
         log_partitions=0.5 * np.sum(offsets**2, axis=1) + 0.5 * logdets,
         whiten_tall=whiten.transpose(0, 2, 1).reshape(k * m, m),
-        unwhiten_wide=whiten.transpose(1, 0, 2).reshape(m, k * m),
     )
 
 
@@ -395,7 +393,7 @@ def _kernel_block(prep: PreparedMixture, shifts: NDArray, need: str):
         return [probs], None
 
     weighted = probs[:, None, :] * white
-    feature_means = prep.unwhiten_wide @ weighted.reshape(k * m, count)
+    feature_means = prep.whiten_tall.T @ weighted.reshape(k * m, count)
     if need == "means":
         return [feature_means], None
     outer = np.matmul(weighted, white.transpose(0, 2, 1))

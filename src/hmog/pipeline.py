@@ -46,12 +46,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import __version__
-from .families import DomainError, MultivariateNormal, Structure, _cholesky
+from .families import DomainError, MultivariateNormal, Structure
 from .hierarchical import (
     Hmog,
     assemble_hmog,
+    block_shapes,
+    hmog_blocks,
     hmog_classify_batch,
     hmog_em_iteration,
+    hmog_from_blocks,
     hmog_log_densities,
     hmog_mean_log_likelihood_from_terms,
     hmog_sample,
@@ -315,9 +318,9 @@ def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
     mu = projected.mean(axis=0)
     centered = projected - mu
     sigma = centered.T @ centered / len(projected)
-    lower = _cholesky(sigma, "projected data covariance")
     rng = np.random.default_rng(seed)
-    means = mu + rng.standard_normal((clusters, projected.shape[1])) @ lower.T
+    family = MultivariateNormal(projected.shape[1])
+    means = family._draw(mu, sigma, clusters, rng, "projected data covariance")
     covs = np.broadcast_to(sigma, (clusters, *sigma.shape)).copy()
     return mog_from_standard(np.full(clusters, 1.0 / clusters), means, covs)
 
@@ -704,18 +707,10 @@ def canonical_json(payload) -> str:
 
 def model_to_dict(model: Hmog, method: str, seed: int) -> dict:
     """Serialize a hierarchical model to the interchange schema."""
-    n = model.obs.dim
     return {
         "method": method,
-        "dims": {"n": n, "m": model.lat.dim, "k": model.num_clusters},
-        "params": {
-            "theta_x_mu": model.obs_params[:n].tolist(),
-            "theta_xx": model.obs_params[n:].tolist(),
-            "theta_y": model.lat_params.tolist(),
-            "theta_z": model.cat_params.tolist(),
-            "theta_xy": model.obs_interaction.tolist(),
-            "theta_yz": model.lat_interaction.tolist(),
-        },
+        "dims": {"n": model.obs.dim, "m": model.lat.dim, "k": model.num_clusters},
+        "params": {name: block.tolist() for name, block in hmog_blocks(model).items()},
         "meta": {"seed": seed, "version": __version__},
     }
 
@@ -756,20 +751,11 @@ def model_from_dict(payload: dict) -> Hmog:
     for key in ("n", "m", "k"):
         if type(dims.get(key)) is not int or dims[key] < 1:  # a JSON true is an int too
             raise ValueError(f"dims.{key}: expected a positive integer, got {dims.get(key)!r}")
-    n, m, k = dims["n"], dims["m"], dims["k"]
-    obs = MultivariateNormal(n, _structure(method))
-    lat = MultivariateNormal(m, Structure.FULL)
-    model = Hmog(
-        obs=obs,
-        lat=lat,
-        obs_params=np.concatenate(
-            [_block(params, "theta_x_mu", (n,)),
-             _block(params, "theta_xx", (obs.param_dim - n,))]
-        ),
-        lat_params=_block(params, "theta_y", (lat.param_dim,)),
-        cat_params=_block(params, "theta_z", (k - 1,)),
-        obs_interaction=_block(params, "theta_xy", (n, m)),
-        lat_interaction=_block(params, "theta_yz", (lat.param_dim, k - 1)),
+    obs = MultivariateNormal(dims["n"], _structure(method))
+    lat = MultivariateNormal(dims["m"], Structure.FULL)
+    shapes = block_shapes(obs, lat, dims["k"])
+    model = hmog_from_blocks(
+        obs, lat, {name: _block(params, name, shape) for name, shape in shapes.items()}
     )
     model.prepared  # validate the domain now
     return model

@@ -113,6 +113,23 @@ class TestCategoricalMappings:
             grad = finite_difference_gradient(fam.log_partition, theta)
             np.testing.assert_allclose(fam.to_mean(theta), grad, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_probabilities_match_softmax(self, k):
+        """Every category, the reference one too, off one normalized logit column."""
+        rng = np.random.default_rng(90 + k)
+        fam = Categorical(k)
+        for theta in rng.uniform(-40.0, 40.0, size=(50, k - 1)):
+            expected = softmax(np.concatenate([[0.0], theta]))
+            np.testing.assert_allclose(
+                fam.probabilities(theta), expected, rtol=1e-12, atol=1e-300
+            )
+
+    def test_reference_probability_at_large_parameters(self):
+        """At theta = [40, 40] the reference category keeps its 2.1e-18."""
+        probs = Categorical(3).probabilities(np.array([40.0, 40.0]))
+        expected = softmax(np.array([0.0, 40.0, 40.0]))
+        np.testing.assert_allclose(probs, expected, rtol=1e-12, atol=1e-300)
+
     def test_uniform_backward(self):
         np.testing.assert_allclose(
             Categorical(3).to_natural(np.array([1 / 3, 1 / 3])), [0.0, 0.0], atol=1e-14
@@ -244,7 +261,7 @@ class TestNormalizeLogits:
 
 
 class TestCategoricalBatch:
-    """The batch helpers keep one row per point on top of the (k, N) helper."""
+    """The forward map keeps one row per point on top of the (k, N) helper."""
 
     @pytest.mark.parametrize("k", [1, 2, 8])
     def test_shapes_and_values(self, k):
@@ -254,9 +271,8 @@ class TestCategoricalBatch:
         logits = np.hstack([np.zeros((count, 1)), thetas])
         fam = Categorical(k)
 
-        psi = fam.log_partition_batch(thetas)
+        psi = np.array([fam.log_partition(theta) for theta in thetas])
         means = fam.to_mean_batch(thetas)
-        assert psi.shape == (count,)
         assert means.shape == (count, k - 1)
         expected_psi, expected_probs = logsumexp(logits, axis=1), softmax(logits, axis=1)
         np.testing.assert_allclose(psi, expected_psi, rtol=1e-14, atol=1e-14)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -563,6 +564,43 @@ class TestReadOnlyBlocks:
         for name, array in arrays.items():
             assert array.flags.writeable
             assert not getattr(rebuilt, name).flags.writeable
+
+
+class TestBlockTable:
+    """One table names and shapes the six blocks for every site that reads them."""
+
+    @pytest.mark.parametrize(
+        "field, block, delta",
+        [("obs_params", "theta_xx", 1), ("obs_params", "theta_x_mu", -4),
+         ("lat_params", "theta_y", 1), ("lat_params", "theta_y", -1)],
+    )
+    def test_wrong_length_fails_when_built(self, field, block, delta):
+        model, _, _ = random_hmog(np.random.default_rng(60))
+        value = getattr(model, field)
+        wrong = np.resize(value, len(value) + delta)
+        with pytest.raises(ValueError, match=f"^{block}: shape "):
+            dataclasses.replace(model, **{field: wrong})
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_unpack_rejects_wrong_length(self, delta):
+        model, _, _ = random_hmog(np.random.default_rng(61))
+        flat = hh.pack_params(model)
+        message = f"expected a flat vector of length {len(flat)}, got ({len(flat) + delta},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hh.unpack_params(model, np.resize(flat, len(flat) + delta))
+
+    def test_sites_agree(self):
+        """JSON, flat vector and model read the same blocks in the same order."""
+        model, _, _ = random_hmog(np.random.default_rng(62), structure=Structure.ISOTROPIC)
+        shapes = hh.block_shapes(model.obs, model.lat, model.num_clusters)
+        params = model_to_dict(model, "hmog_pca", 0)["params"]
+        assert list(params) == list(shapes)
+        assert {name: np.shape(value) for name, value in params.items()} == shapes
+        flat = hh.pack_params(model)
+        assert len(flat) == sum(math.prod(shape) for shape in shapes.values())
+        rebuilt = hh.unpack_params(model, flat)
+        for name, block in hh.hmog_blocks(rebuilt).items():
+            assert block.tobytes() == np.asarray(params[name]).tobytes()
 
 
 class TestValidityGuard:

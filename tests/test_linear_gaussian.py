@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import time
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from scipy.stats import multivariate_normal
 from hmog import linear_gaussian as lg
 from hmog.families import DomainError, MultivariateNormal, Structure
 from hmog.harmonium import check_conjugation
+from hmog.hierarchical import disassemble_hmog
+from hmog.pipeline import default_synthetic_hmog
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -255,6 +258,21 @@ class TestMomentPass:
 def assert_relative(actual, expected, tol):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
+
+
+class TestBlockShapes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("obs_params", np.zeros(5)), ("lat_params", np.zeros(3)),
+         ("interaction", np.zeros((4, 3)))],
+    )
+    def test_wrong_shape_fails_when_built(self, field, value):
+        """A block of the wrong shape fails at once, naming the field."""
+        lgm, _ = disassemble_hmog(default_synthetic_hmog(3, 2, 4))
+        expected = getattr(lgm, field).shape
+        message = f"{field}: shape {value.shape}, expected {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(lgm, **{field: value})
 
 
 class TestSeededState:

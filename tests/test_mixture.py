@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.stats import multivariate_normal
 from hmog import mixture as mx
 from hmog.families import DomainError, MultivariateNormal, Structure
 from hmog.harmonium import check_conjugation
+from hmog.hierarchical import disassemble_hmog
+from hmog.pipeline import default_synthetic_hmog
 
 
 def random_mog(rng, k, dim):
@@ -219,6 +222,21 @@ class TestPosterior:
                 odds = moved[:, 1:] / moved[:, :1]
                 expected = np.exp(c) * post[:, 1:] / post[:, :1]
                 np.testing.assert_allclose(odds, expected, rtol=1e-9)
+
+
+class TestBlockShapes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_params", np.zeros(4)), ("cat_params", np.zeros((2, 1))),
+         ("interaction", np.zeros((5, 1)))],
+    )
+    def test_wrong_shape_fails_when_built(self, field, value):
+        """A block of the wrong shape fails at once, naming the field."""
+        _, mog = disassemble_hmog(default_synthetic_hmog(3, 2, 4))
+        expected = getattr(mog, field).shape
+        message = f"{field}: shape {value.shape}, expected {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(mog, **{field: value})
 
 
 class TestEmStep:
