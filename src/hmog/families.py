@@ -117,11 +117,17 @@ def _spd_inverse(matrix: NDArray, context: str) -> tuple[NDArray, NDArray]:
 
 
 def _freeze(model, *names: str) -> None:
-    """Make the named fields of ``model`` read-only float views of the caller's arrays."""
+    """Make the named fields of ``model`` read-only float arrays that no caller writes.
+
+    A writable array is copied, in its own memory layout so that products
+    round alike; one already read-only, such as another model's block, is shared.
+    """
     for name in names:
-        view = np.asarray(getattr(model, name), dtype=float).view()
-        view.flags.writeable = False
-        object.__setattr__(model, name, view)
+        array = np.asarray(getattr(model, name), dtype=float)
+        if array.flags.writeable:
+            array = array.copy(order="K")
+            array.flags.writeable = False
+        object.__setattr__(model, name, array)
 
 
 def _check_shapes(blocks: dict, shapes: dict[str, tuple[int, ...]]) -> None:
@@ -441,7 +447,10 @@ class MultivariateNormal:
         Structured blocks contract without the (N, n) squares; an isotropic
         block's one entry broadcasts over the coordinates.
         """
-        xs = self._points(xs)
+        return self._dot_checked(theta, self._points(xs))
+
+    def _dot_checked(self, theta: NDArray, xs: NDArray) -> NDArray:
+        """`dot_statistics` of points that `_points` has already checked."""
         n = self.dim
         theta = np.asarray(theta, dtype=float)
         linear = xs @ theta[:n]
@@ -452,7 +461,10 @@ class MultivariateNormal:
 
     def mean_statistics(self, xs: NDArray) -> NDArray:
         """Average sufficient statistic over the rows of ``xs``."""
-        xs = self._points(xs)
+        return self._mean_checked(self._points(xs))
+
+    def _mean_checked(self, xs: NDArray) -> NDArray:
+        """`mean_statistics` of points that `_points` has already checked."""
         count = len(xs)
         mean = xs.mean(axis=0)
         if self.structure is Structure.FULL:
@@ -515,17 +527,16 @@ class MultivariateNormal:
         first, solve, logdet, _ = self._scale(theta)
         return 0.5 * float(first @ solve(first)) - 0.5 * logdet
 
-    def log_partition_batch(self, firsts: NDArray, second: NDArray) -> NDArray:
-        """Log-partition over rows of first-order parameters.
+    def log_partition_batch(self, theta: NDArray, shifts: NDArray) -> NDArray:
+        """Log-partitions of ``theta`` with each row of ``shifts`` added to ``theta_mu``.
 
-        All rows share the dense second-order block ``second``; this is the
-        shape of every conjugation computation downstream, where only the
-        first-order block varies across data points.
+        ``theta`` is factored once: this is the shape of every conjugation
+        computation downstream, where only the first-order block varies
+        across data points, by ``x @ W``.
         """
-        theta0 = self.join_natural(np.zeros(self.dim), second)
-        _, solve, logdet, _ = self._scale(theta0)
-        solved = solve(firsts.T)
-        return 0.5 * np.einsum("ni,in->n", firsts, solved) - 0.5 * logdet
+        first, solve, logdet, _ = self._scale(theta)
+        firsts = first + shifts
+        return 0.5 * np.einsum("ni,in->n", firsts, solve(firsts.T)) - 0.5 * logdet
 
     def to_mean(self, theta: NDArray) -> NDArray:
         """Forward mapping to flat mean coordinates (gradient of psi)."""
@@ -535,15 +546,14 @@ class MultivariateNormal:
             return self.join_mean(mu, cov + np.outer(mu, mu))
         return self.join_mean(mu, self._pack(cov) + self._pack_squares(mu))
 
-    def to_mean_batch(self, firsts: NDArray, second: NDArray) -> tuple[NDArray, NDArray]:
-        """Posterior moments for rows sharing one second-order block.
+    def to_mean_batch(self, theta: NDArray, shifts: NDArray) -> tuple[NDArray, NDArray]:
+        """Moments of ``theta`` with each row of ``shifts`` added to ``theta_mu``.
 
-        Returns ``(means, cov)`` where ``means`` has shape ``(N, dim)`` and
-        ``cov`` is the shared dense covariance ``(-2 Theta)^{-1}``.
+        ``theta`` is factored once. Returns the means ``(N, dim)`` and the
+        shared covariance ``(-2 Theta)^{-1}`` as a dense matrix.
         """
-        theta0 = self.join_natural(np.zeros(self.dim), second)
-        _, solve, _, cov = self._scale(theta0)
-        means = solve(firsts.T).T
+        first, solve, _, cov = self._scale(theta)
+        means = solve((first + shifts).T).T
         if self.structure is not Structure.FULL:
             cov = np.diag(cov)
         return means, cov

@@ -19,9 +19,11 @@ feature moments to the observable blocks.
 Each model is prepared once (`Hmog.prepared`): the feature prior and the
 feature posterior mixtures with their stacked component factors, and the
 joint log-partition. `assemble_hmog` builds it from what its parts hold,
-any other model on first use. Every per-point computation is then
-one pass of the shifted posterior mixture kernel at the shifts ``x @ W``,
-through the `mixture` wrapper that returns only what the caller reads:
+any other model on first use, and one likelihood model (`Hmog._likelihood`)
+holds its observable factor. Every per-point computation checks its points
+and forms the shifts ``x @ W`` in `_shifts`, then makes one pass of the
+shifted posterior mixture kernel, through the `mixture` wrapper that
+returns only what the caller reads:
 log-densities (`shifted_log_partition`), cluster posteriors
 (`shifted_posteriors`), projections (`shifted_feature_means`, no second
 moments), and the fused log-likelihood plus E-step target
@@ -31,7 +33,7 @@ data sums across blocks in a fixed order; beyond those sums, a pass holds
 only the (N, m) shifts and its own per-point outputs, whatever N is. Mean
 log-likelihoods take the observable term from the mean statistic, so the
 fused pass, stage-2 scoring and `hmog_mean_log_likelihood` agree exactly.
-Model blocks are read-only, so prepared state never goes stale.
+Model blocks are read-only copies, so prepared state never goes stale.
 
 The six natural-parameter blocks are named once, in `BLOCK_NAMES`;
 `block_shapes` gives their shapes and `hmog_blocks` a model's blocks:
@@ -170,6 +172,13 @@ class Hmog:
         return Categorical(self.num_clusters)
 
     @functools.cached_property
+    def _likelihood(self) -> LinearGaussianModel:
+        """The linear Gaussian model of p(x | y) embedded in this one, built once."""
+        return LinearGaussianModel(
+            self.obs, self.lat, self.obs_params, self.lat_params, self.obs_interaction
+        )
+
+    @functools.cached_property
     def prepared(self) -> "PreparedHmog":
         """Conjugation state shared by every computation, seeded or built on first use."""
         return _prepare(self)
@@ -213,15 +222,10 @@ class HmogEmDiagnostics:
 # ---------------------------------------------------------------------------
 
 
-def _likelihood_lgm(h: Hmog) -> LinearGaussianModel:
-    """The embedded linear Gaussian model."""
-    return LinearGaussianModel(
-        obs=h.obs,
-        lat=h.lat,
-        obs_params=h.obs_params,
-        lat_params=h.lat_params,
-        interaction=h.obs_interaction,
-    )
+def _shifts(h: Hmog, xs: NDArray) -> tuple[NDArray, NDArray]:
+    """The points, checked, and their feature shifts ``x @ W``: the one check per call."""
+    xs = h.obs._points(xs)
+    return xs, xs @ h.obs_interaction
 
 
 def _check_finite(h: Hmog) -> None:
@@ -242,7 +246,7 @@ def _prepare(h: Hmog) -> PreparedHmog:
     term to those, so they are then valid as well.
     """
     _check_finite(h)
-    conj = _likelihood_conjugation(_likelihood_lgm(h))
+    conj = _likelihood_conjugation(h._likelihood)
     prior = MixtureModel(
         lat=h.lat,
         base_params=h.lat_params + conj.rho,
@@ -317,9 +321,9 @@ def hmog_log_densities(h: Hmog, xs: NDArray) -> NDArray:
     evaluates its log-partition; stage two subtracts the (constant) joint
     log-partition obtained by double conjugation.
     """
-    xs = np.asarray(xs, dtype=float)
-    observed = h.obs.dot_statistics(h.obs_params, xs) + h.obs.log_base_measure(xs)
-    posterior_psi = shifted_log_partition(h.prepared.posterior, xs @ h.obs_interaction)
+    xs, shifts = _shifts(h, xs)
+    observed = h.obs._dot_checked(h.obs_params, xs) + h.obs.log_base_measure(xs)
+    posterior_psi = shifted_log_partition(h.prepared.posterior, shifts)
     return observed + posterior_psi - h.prepared.log_partition
 
 
@@ -345,12 +349,10 @@ def hmog_mean_log_likelihood_from_terms(
 
 
 def hmog_mean_log_likelihood(h: Hmog, xs: NDArray) -> float:
-    xs = np.asarray(xs, dtype=float)
+    xs, shifts = _shifts(h, xs)
     if len(xs) == 0:
         raise ValueError("the mean log-likelihood needs a nonempty dataset")
-    return hmog_mean_log_likelihood_from_terms(
-        h, xs @ h.obs_interaction, h.obs.mean_statistics(xs)
-    )
+    return hmog_mean_log_likelihood_from_terms(h, shifts, h.obs._mean_checked(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,7 @@ def hmog_forward(
     Returns ``(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)``.
     """
     eta_lat, eta_cat, cross_yz = mixture_forward(h.prepared.prior)
-    eta_obs, cross_xy = lgm_conditional_forward(_likelihood_lgm(h), eta_lat)
+    eta_obs, cross_xy = lgm_conditional_forward(h._likelihood, eta_lat)
     return eta_obs, eta_lat, eta_cat, cross_xy, cross_yz
 
 
@@ -506,16 +508,17 @@ def hmog_posterior_pass(h: Hmog, xs: NDArray) -> EStep:
     feature-cluster blocks). The target holds the blocks `hmog_forward`
     returns, ``(eta_obs, eta_lat, eta_cat, cross_xy, cross_yz)``.
     """
-    xs = np.asarray(xs, dtype=float)
-    if len(xs) == 0:
-        raise ValueError("the posterior pass needs a nonempty dataset")
-    return _posterior_pass(h, xs, h.obs.mean_statistics(xs))
+    return _posterior_pass(h, xs)
 
 
-def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray) -> EStep:
-    """`hmog_posterior_pass` given the mean observable statistic of ``xs``."""
+def _posterior_pass(h: Hmog, xs: NDArray, eta_obs: NDArray | None = None) -> EStep:
+    """`hmog_posterior_pass`, given the mean observable statistic of ``xs`` if known."""
+    xs, shifts = _shifts(h, xs)
     count = len(xs)
-    post = mixture_posterior_stats(h.prepared.posterior, xs @ h.obs_interaction)
+    if count == 0:
+        raise ValueError("the posterior pass needs a nonempty dataset")
+    eta_obs = h.obs._mean_checked(xs) if eta_obs is None else eta_obs
+    post = mixture_posterior_stats(h.prepared.posterior, shifts)
     stats = post.component_stats / count
     target = (
         eta_obs,
@@ -584,14 +587,12 @@ def hmog_em_iteration(
 
 def hmog_project_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Posterior feature means E[Y | X = x], cluster index marginalized out."""
-    shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
-    return shifted_feature_means(h.prepared.posterior, shifts)
+    return shifted_feature_means(h.prepared.posterior, _shifts(h, xs)[1])
 
 
 def hmog_classify_batch(h: Hmog, xs: NDArray) -> NDArray:
     """Cluster posteriors p(z | x), features marginalized out; rows sum to 1."""
-    shifts = np.asarray(xs, dtype=float) @ h.obs_interaction
-    return shifted_posteriors(h.prepared.posterior, shifts)
+    return shifted_posteriors(h.prepared.posterior, _shifts(h, xs)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +636,8 @@ def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
     `assemble_hmog` of the result reproduces the input exactly.
     """
     standard = h.lat.from_mean_cov(np.zeros(h.lat.dim), np.eye(h.lat.dim))
-    lgm = _likelihood_lgm(h)
-    rho = _likelihood_conjugation(lgm).rho
-    return replace(lgm, lat_params=standard - rho), h.prepared.prior
+    rho = _likelihood_conjugation(h._likelihood).rho
+    return replace(h._likelihood, lat_params=standard - rho), h.prepared.prior
 
 
 def hmog_sample(
@@ -645,4 +645,4 @@ def hmog_sample(
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Ancestral draws ``(observations, features, cluster indices)``."""
     ys, zs = mog_sample(h.prepared.prior, size, rng)
-    return _draw_observations(_likelihood_lgm(h), ys, rng), ys, zs
+    return _draw_observations(h._likelihood, ys, rng), ys, zs

@@ -19,14 +19,14 @@ O(N n^2) time once per dataset and O(n^2) memory; after that one
 step's E-step target, together one `harmonium.EStep`, from the single
 O(n^2 m) product ``C @ W``, with no pass over the points.
 
-Dense blocks (the feature precision, and the observable one under FULL
-structure) are factored only through `families._cholesky` and
-`families._spd_inverse`, once per matrix per step: `lgm_backward` reads
-``C_yy^{-1}`` off one inverse, and `lgm_moment_pass` takes log p(xbar)'s
-posterior log-partition from the same factor that gives the posterior
-covariance; `lgm_backward` seeds each model's conjugation parameters and
-log-partition. Draws from the conditional p(x | y) go through the
-observable family's own normal draw (`MultivariateNormal._draw`).
+Each Gaussian of a model is factored in one place. The observable block
+is factored once per model (`LinearGaussianModel._obs_scale`), for the
+conjugation parameters, the conditional forward map, the standard form and
+draws from p(x | y). Every feature posterior p(y | x) is the feature family
+at ``theta_Y`` shifted in its first-order block by ``x @ W``, so the
+family's batch methods factor ``theta_Y`` once per call. `lgm_backward`
+factors only covariance statistics and seeds each model's conjugation
+parameters and log-partition.
 """
 
 from __future__ import annotations
@@ -99,6 +99,11 @@ class LinearGaussianModel:
         return self.lat.dim
 
     @functools.cached_property
+    def _obs_scale(self) -> tuple:
+        """``(first, solve, logdet, cov)`` of the observable block, factored once."""
+        return self.obs._scale(self.obs_params, "observable natural parameters")
+
+    @functools.cached_property
     def conjugation(self) -> ConjugationParams:
         """Conjugation parameters (no feature block), seeded or built on first use."""
         return _conjugation(self)
@@ -145,9 +150,7 @@ def _conjugation(model: LinearGaussianModel) -> ConjugationParams:
     For structured (diagonal or tied) noise every solve against ``A`` is
     elementwise, so the cost grows linearly with the observable dimension.
     """
-    first, solve, logdet, _ = model.obs._scale(
-        model.obs_params, "observable natural parameters"
-    )
+    first, solve, logdet, _ = model._obs_scale
     t = solve(first)
     rho0 = 0.5 * float(first @ t) - 0.5 * logdet
     rho_mu = model.interaction.T @ t
@@ -169,13 +172,10 @@ def lgm_conditional_forward(
     is affine in ``eta_Y``, so any feature prior, Gaussian or mixture, can
     be pushed through it.
     """
-    first, solve, _, cov = model.obs._scale(
-        model.obs_params, "observable natural parameters"
-    )
+    mean, cov, loading = lgm_to_standard(model)
     mu_y, second_y = model.lat.split_mean(eta_y)
     sigma_yy = second_y - np.outer(mu_y, mu_y)
-    loading = solve(model.interaction)
-    mu_x = solve(first) + loading @ mu_y
+    mu_x = mean + loading @ mu_y
     sigma_xy = loading @ sigma_yy
     cross = sigma_xy + np.outer(mu_x, mu_y)
     obs = model.obs
@@ -312,12 +312,11 @@ def lgm_moment_pass(model: LinearGaussianModel, moments: DataMoments) -> EStep:
     keeps the accuracy of the per-point mean on data far from the origin.
     """
     n, lat = model.obs.dim, model.lat
-    lat_first, lat_second = lat.split_natural(model.lat_params)
-    cov, logdet = _spd_inverse(-2.0 * lat_second, "posterior feature precision")
+    first, solve, logdet, cov = lat._scale(model.lat_params, "posterior feature precision")
     c_w = moments.covariance @ model.interaction
     spread = model.interaction.T @ c_w
-    first_y = lat_first + model.interaction.T @ moments.mean
-    mean_y = cov @ first_y
+    first_y = first + model.interaction.T @ moments.mean
+    mean_y = solve(first_y)
 
     # log p(xbar) takes its posterior log-partition 1/2 f . S f - 1/2 log|P|
     # from the factor above. tr(Theta_XX C) is the packed natural block
@@ -359,11 +358,8 @@ def lgm_em_step(model: LinearGaussianModel, data: NDArray) -> LinearGaussianMode
 
 def lgm_project_batch(model: LinearGaussianModel, xs: NDArray) -> NDArray:
     """Posterior feature means E[Y | X = x] for a batch of observations."""
-    xs = np.asarray(xs, dtype=float)
-    lat_first, lat_second = model.lat.split_natural(model.lat_params)
-    firsts = lat_first + xs @ model.interaction
-    means, _ = model.lat.to_mean_batch(firsts, lat_second)
-    return means
+    shifts = model.obs._points(xs) @ model.interaction
+    return model.lat.to_mean_batch(model.lat_params, shifts)[0]
 
 
 def lgm_log_densities(model: LinearGaussianModel, xs: NDArray) -> NDArray:
@@ -372,13 +368,10 @@ def lgm_log_densities(model: LinearGaussianModel, xs: NDArray) -> NDArray:
     Equals the n-dimensional normal log-density with the model's marginal
     mean and covariance, without forming that covariance.
     """
-    xs = np.asarray(xs, dtype=float)
-    lat_first, lat_second = model.lat.split_natural(model.lat_params)
-    firsts = lat_first + xs @ model.interaction
-    psi_posterior = model.lat.log_partition_batch(firsts, lat_second)
+    xs = model.obs._points(xs)
     return (
-        model.obs.dot_statistics(model.obs_params, xs)
-        + psi_posterior
+        model.obs._dot_checked(model.obs_params, xs)
+        + model.lat.log_partition_batch(model.lat_params, xs @ model.interaction)
         - lgm_log_partition(model)
         + model.obs.log_base_measure(xs)
     )
@@ -439,9 +432,7 @@ def lgm_to_standard(
     with `lgm_from_standard` are exact; reconstructing the full joint from
     the triple assumes the standard-normal prior convention.
     """
-    first, solve, _, noise = model.obs._scale(
-        model.obs_params, "observable natural parameters"
-    )
+    first, solve, _, noise = model._obs_scale
     return solve(first), model.obs._standard(noise), solve(model.interaction)
 
 
@@ -458,9 +449,7 @@ def _draw_observations(
     model: LinearGaussianModel, ys: NDArray, rng: np.random.Generator
 ) -> NDArray:
     """One draw from the conditional p(x | y) per row of ``ys``."""
-    first, solve, _, cov = model.obs._scale(
-        model.obs_params, "observable natural parameters"
-    )
+    first, solve, _, cov = model._obs_scale
     means = solve((first[:, None] + model.interaction @ ys.T)).T
     return model.obs._draw(means, cov, len(ys), rng, "noise covariance")
 

@@ -487,12 +487,12 @@ def _two_stage_single(
         "stage 1", "stage1", stage1, (lgm, None), cfg.stage1_iters
     )
 
-    projected = lgm_project_batch(lgm, data)
-    mog = init_mog(projected, cfg.clusters, seed)
-    # The conditional p(x | y) and the projections are fixed from here on:
-    # the feature shifts x @ W and the statistics of the projections are
+    # The conditional p(x | y) is fixed from here on: the feature shifts
+    # x @ W, the projections they give and the projections' statistics are
     # computed once, and the mean observable statistic comes with the moments.
     shifts = data @ lgm.interaction
+    projected, _ = lgm.lat.to_mean_batch(lgm.lat_params, shifts)
+    mog = init_mog(projected, cfg.clusters, seed)
     features = mog_statistics(mog.lat, projected)
 
     def stage2(mog, _):

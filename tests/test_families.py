@@ -365,6 +365,26 @@ class TestMvnLogPartition:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+class TestMvnShiftedBatch:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_rows_match_single_evaluations(self, dim):
+        """Row i of each batch method is the single method at theta, shifted by row i."""
+        rng = np.random.default_rng(40 + dim)
+        fam = MultivariateNormal(dim)
+        theta = random_natural(fam, rng)
+        shifts = rng.normal(size=(7, dim))
+        psis = fam.log_partition_batch(theta, shifts)
+        means, cov = fam.to_mean_batch(theta, shifts)
+        assert psis.shape == (7,) and means.shape == (7, dim)
+        for shift, psi, mu in zip(shifts, psis, means):
+            shifted = np.concatenate([theta[:dim] + shift, theta[dim:]])
+            assert psi == pytest.approx(fam.log_partition(shifted), abs=1e-12)
+            np.testing.assert_allclose(
+                fam.join_mean(mu, cov + np.outer(mu, mu)), fam.to_mean(shifted),
+                rtol=0, atol=1e-12,
+            )
+
+
 class TestMvnMappings:
     def test_standard_normal_moments(self):
         fam = MultivariateNormal(2)

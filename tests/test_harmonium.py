@@ -249,10 +249,10 @@ class TestEmIteration:
         data, _ = lg.lgm_sample(truth, 300, rng)
         model, _ = random_lgm(rng, structure=structure)
         lat = model.lat
-        _, lat_second = lat.split_natural(model.lat_params)
 
         def latent_forward(posterior_nats):
-            means, cov = lat.to_mean_batch(posterior_nats[:, : lat.dim], lat_second)
+            shifts = posterior_nats[:, : lat.dim] - model.lat_params[: lat.dim]
+            means, cov = lat.to_mean_batch(model.lat_params, shifts)
             return np.stack([lat.join_mean(mu, cov + np.outer(mu, mu)) for mu in means])
 
         def joint_backward(eta_x, eta_y, cross):

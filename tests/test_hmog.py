@@ -565,6 +565,26 @@ class TestReadOnlyBlocks:
             assert array.flags.writeable
             assert not getattr(rebuilt, name).flags.writeable
 
+    def test_callers_writes_do_not_reach_the_model(self):
+        """After a write to its source arrays a model still scores as a fresh copy."""
+        model = default_synthetic_hmog(3, 2, 4)
+        xs = hh.hmog_sample(model, 20, np.random.default_rng(31))[0]
+        flat = hh.pack_params(model)
+        expected = hh.hmog_log_densities(hh.unpack_params(model, flat.copy()), xs)
+        arrays = {name: getattr(model, name).copy() for name in self.PARTS["hmog"]}
+        built = (hh.unpack_params(model, flat), hh.Hmog(model.obs, model.lat, **arrays))
+        for h in built:
+            hh.hmog_log_densities(h, xs)  # builds the prepared state
+        k = model.num_clusters - 1
+        start = len(flat) - model.lat_interaction.size - model.obs_interaction.size - k
+        flat[start : start + k] += 1.0  # the theta_z entries
+        arrays["cat_params"] += 1.0
+        for h in built:
+            np.testing.assert_array_equal(h.cat_params, model.cat_params)
+            np.testing.assert_array_equal(hh.hmog_log_densities(h, xs), expected)
+            fresh = dataclasses.replace(h)
+            np.testing.assert_array_equal(hh.hmog_log_densities(fresh, xs), expected)
+
 
 class TestBlockTable:
     """One table names and shapes the six blocks for every site that reads them."""
@@ -624,6 +644,78 @@ class TestValidityGuard:
         sl = hh.block_slices(model)["lat_interaction"]
         flat[sl.stop - 1] = 1e4  # explode component 2's second-order offset
         assert "lat_interaction" in hh.valid_blocks(hh.unpack_params(model, flat))
+
+
+class TestPointChecks:
+    """Every per-point entry point checks its points once, with one message."""
+
+    ENTRIES = {
+        hh.hmog_log_densities: None,
+        hh.hmog_classify_batch: None,
+        hh.hmog_project_batch: None,
+        hh.hmog_mean_log_likelihood: "the mean log-likelihood needs a nonempty dataset",
+        hh.hmog_posterior_pass: "the posterior pass needs a nonempty dataset",
+        lg.lgm_log_densities: None,
+        lg.lgm_project_batch: None,
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES), ids=lambda entry: entry.__name__)
+    def test_wrong_width_and_empty_batches(self, entry):
+        model, _, _ = random_hmog(np.random.default_rng(54), n=4)
+        if entry.__module__ == lg.__name__:
+            model, _ = hh.disassemble_hmog(model)
+        for shape in [(3, 5), (4,)]:
+            message = re.escape(f"expected points of dimension 4, got {shape}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(model, np.zeros(shape))
+        empty = np.zeros((0, 4))
+        if self.ENTRIES[entry] is None:
+            assert len(entry(model, empty)) == 0
+        else:
+            with pytest.raises(ValueError, match=f"^{self.ENTRIES[entry]}$"):
+                entry(model, empty)
+
+
+class TestEmMonotone:
+    """Exact EM never lowers the mean log-likelihood by more than 1e-9.
+
+    Each candidate is the exact maximizer of its E-step target, scored
+    without the guard that discards a worse one.
+    """
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=30, derandomize=True)
+    def test_unified_and_stage1_steps(self, data):
+        m = data.draw(st.integers(1, 2), label="m")
+        n = data.draw(st.integers(m + 1, 4), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        structure = data.draw(
+            st.sampled_from([Structure.DIAGONAL, Structure.ISOTROPIC]), label="structure"
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        truth, _, _ = random_hmog(rng, n=n, m=m, k=k, structure=structure)
+        xs = hh.hmog_sample(truth, 80, rng)[0]
+        model, _, _ = random_hmog(rng, n=n, m=m, k=k, structure=structure)
+        lgm, _ = hh.disassemble_hmog(model)
+
+        current = hh.hmog_posterior_pass(model, xs)
+        for _ in range(15):
+            eta_obs, eta_lat, eta_cat, cross_xy, cross_yz = current.target
+            model = hh.assemble_hmog(
+                lg.lgm_backward(model.obs, model.lat, eta_obs, eta_lat, cross_xy),
+                mx.mixture_backward(model.lat, eta_lat, eta_cat, cross_yz),
+            )
+            after = hh.hmog_posterior_pass(model, xs)
+            assert after.mean_log_likelihood >= current.mean_log_likelihood - 1e-9
+            current = after
+
+        moments = lg.data_moments(lgm.obs, xs)
+        current = lg.lgm_moment_pass(lgm, moments)
+        for _ in range(15):
+            lgm = lg.lgm_backward(lgm.obs, lgm.lat, *current.target)
+            after = lg.lgm_moment_pass(lgm, moments)
+            assert after.mean_log_likelihood >= current.mean_log_likelihood - 1e-9
+            current = after
 
 
 def shifted_mixture(model, shift):
