@@ -344,6 +344,7 @@ def hmog_mean_log_likelihood_from_terms(
     feature prior, so they stay fixed while only the prior changes, as in
     stage 2 of two-stage training.
     """
+    eta_obs = h.obs._vectors(eta_obs, h.obs.param_dim, "mean observable statistic")
     posterior_psi = shifted_log_partition(h.prepared.posterior, shifts)
     return _mean_log_likelihood(h, eta_obs, posterior_psi)
 
@@ -637,7 +638,9 @@ def disassemble_hmog(h: Hmog) -> tuple[LinearGaussianModel, MixtureModel]:
     """
     standard = h.lat.from_mean_cov(np.zeros(h.lat.dim), np.eye(h.lat.dim))
     rho = _likelihood_conjugation(h._likelihood).rho
-    return replace(h._likelihood, lat_params=standard - rho), h.prepared.prior
+    lgm = replace(h._likelihood, lat_params=standard - rho)
+    vars(lgm)["_obs_scale"] = h._likelihood._obs_scale  # p(x | y) is unchanged
+    return lgm, h.prepared.prior
 
 
 def hmog_sample(

@@ -350,9 +350,12 @@ def _shifted_pass(model: MixtureModel, shifts: NDArray, need: str) -> list[NDArr
     per-point outputs are written block by block into their columns, and
     the sums are added up across blocks in that fixed order, from the
     first block's as they are. No temporary grows with N beyond the outputs.
+    Shifts not of shape (N, m) raise ValueError.
     """
-    prep, shifts = model.prepared, np.asarray(shifts, dtype=float)
-    outputs = sums = None
+    shifts = np.asarray(shifts, dtype=float)
+    if shifts.ndim != 2 or shifts.shape[1] != model.dim:
+        raise ValueError(f"expected shifts of dimension {model.dim}, got {shifts.shape}")
+    prep, outputs, sums = model.prepared, None, None
     for start in range(0, max(len(shifts), 1), BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         values, part = _kernel_block(prep, shifts[rows], need)

@@ -10,9 +10,10 @@ and cross-validation scores are directly comparable across methods.
 All four methods run one restart loop. Each fit computes the data's mean,
 centred covariance and mean observable statistic once
 (`linear_gaussian.data_moments`) and rejects a zero-variance coordinate
-there, before any restart. Restart ``r`` runs a two-stage fit on seed
-``cfg.seed + r`` from those shared moments; a unified method continues
-its assembled model with ``cfg.hmog_iters`` EM iterations. The restart
+there, before any restart. Restart ``r`` starts stage 1 from
+``init_lgm(moments, ..., cfg.seed + r)`` of those shared moments and stage
+2 from `init_mog` of its projections; a unified method continues its
+assembled model with ``cfg.hmog_iters`` EM iterations. The restart
 with the strictly greatest final train log-likelihood wins, so ties go to
 the lowest index. A DomainError in stage 1, stage 2 or unified EM (a
 restart that collapses onto a degenerate mixture) skips that restart; any
@@ -40,7 +41,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -152,8 +153,9 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     ``label_column`` set, that column is extracted and its distinct values
     are mapped onto ``1..L`` in sorted order. Malformed input (a ragged row,
     a non-numeric or non-finite cell) raises ValueError at its row and column.
+    A leading UTF-8 byte-order mark is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -275,35 +277,24 @@ def gen_synthetic(model: Hmog, count: int, seed: int) -> Dataset:
 
 
 def init_lgm(
-    data: NDArray, latent_dim: int, structure: Structure, seed: int
+    moments: DataMoments, latent_dim: int, structure: Structure, seed: int
 ) -> LinearGaussianModel:
-    """Empirical-moment initialization with a small random loading.
+    """The stage-1 start of every fit, from `linear_gaussian.data_moments`.
 
-    Mean and (isotropic or per-coordinate) variance come from the data;
-    the loading matrix is uniform in [-0.01, 0.01].
+    Mean ``moments.mean``, variances ``np.diag(moments.covariance)`` (pooled
+    if tied), loading uniform in [-0.01, 0.01] from ``default_rng(seed)``.
     """
-    data = np.asarray(data, dtype=float)
-    if len(data) < 2:
-        raise ValueError("initialization needs at least two samples")
-    return _initial_lgm(
-        data.mean(axis=0), data.var(axis=0), latent_dim, structure, seed
-    )
+    variances = np.diag(moments.covariance)
+    _check_variances(variances)
+    rng = np.random.default_rng(seed)
+    loading = rng.uniform(-0.01, 0.01, size=(len(moments.mean), latent_dim))
+    return lgm_from_standard(moments.mean, np.diag(variances), loading, structure)
 
 
 def _check_variances(variances: NDArray) -> None:
     if np.any(variances <= 0.0):
         bad = int(np.flatnonzero(variances <= 0.0)[0])
         raise DomainError(f"zero-variance coordinate {bad}")
-
-
-def _initial_lgm(
-    mean: NDArray, variances: NDArray, latent_dim: int, structure: Structure, seed: int
-) -> LinearGaussianModel:
-    """`init_lgm` from the data's mean and per-coordinate variances (pooled if tied)."""
-    _check_variances(variances)
-    rng = np.random.default_rng(seed)
-    loading = rng.uniform(-0.01, 0.01, size=(len(mean), latent_dim))
-    return lgm_from_standard(mean, np.diag(variances), loading, structure)
 
 
 def init_mog(projected: NDArray, clusters: int, seed: int) -> MixtureModel:
@@ -377,7 +368,11 @@ class StageTrace:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one fit: best-restart trajectory and bookkeeping."""
+    """Outcome of one fit: best-restart trajectory and bookkeeping.
+
+    Every field is JSON-native under `dataclasses.asdict` (numbers, strings,
+    tuples); `report_to_dict` writes all fields except ``wall_time_s``.
+    """
 
     method: str
     latent_dim: int
@@ -480,9 +475,7 @@ def _two_stage_single(
         current = lgm_moment_pass(lgm, moments)
         return (lgm, current), current.mean_log_likelihood
 
-    lgm = _initial_lgm(
-        moments.mean, np.diag(moments.covariance), cfg.latent_dim, cfg.structure, seed
-    )
+    lgm = init_lgm(moments, cfg.latent_dim, cfg.structure, seed)
     (lgm, _), trace1 = _run_stage(
         "stage 1", "stage1", stage1, (lgm, None), cfg.stage1_iters
     )
@@ -772,37 +765,14 @@ def load_model(path) -> Hmog:
 
 
 def report_to_dict(report: FitReport | CvReport) -> dict:
-    """JSON-ready view of a report; wall time is excluded for bit-stability."""
+    """Every field of a report but the wall time, plus each CV cell's mean and std."""
+    payload = asdict(report)
     if isinstance(report, FitReport):
-        return {
-            "type": "fit_report",
-            "method": report.method,
-            "latent_dim": report.latent_dim,
-            "clusters": report.clusters,
-            "seed": report.seed,
-            "restart_index": report.restart_index,
-            "final_train_log_likelihood": report.final_train_log_likelihood,
-            "stages": [
-                {"name": stage.name, "log_likelihoods": list(stage.log_likelihoods)}
-                for stage in report.stages
-            ],
-        }
-    return {
-        "type": "cv_report",
-        "method": report.method,
-        "folds": report.folds,
-        "seed": report.seed,
-        "cells": [
-            {
-                "latent_dim": cell.latent_dim,
-                "clusters": cell.clusters,
-                "fold_scores": list(cell.fold_scores),
-                "mean": cell.mean,
-                "std": cell.std,
-            }
-            for cell in report.cells
-        ],
-    }
+        del payload["wall_time_s"]  # kept out for bit-stability
+        return {"type": "fit_report", **payload}
+    for cell, entry in zip(report.cells, payload["cells"]):
+        entry.update(mean=cell.mean, std=cell.std)
+    return {"type": "cv_report", **payload}
 
 
 def _trajectory_csv(report: FitReport) -> str:

@@ -676,6 +676,44 @@ class TestPointChecks:
                 entry(model, empty)
 
 
+SHIFT_ENTRIES = {
+    "shifted_log_partition": lambda h, shifts: mx.shifted_log_partition(
+        h.prepared.posterior, shifts
+    ),
+    "shifted_posteriors": lambda h, shifts: mx.shifted_posteriors(
+        h.prepared.posterior, shifts
+    ),
+    "shifted_feature_means": lambda h, shifts: mx.shifted_feature_means(
+        h.prepared.posterior, shifts
+    ),
+    "mixture_posterior_stats": lambda h, shifts: mx.mixture_posterior_stats(
+        h.prepared.posterior, shifts
+    ),
+    "hmog_mean_log_likelihood_from_terms": lambda h, shifts: (
+        hh.hmog_mean_log_likelihood_from_terms(h, shifts, np.zeros(h.obs.param_dim))
+    ),
+}
+
+
+class TestShiftChecks:
+    """The posterior kernel rejects shifts that are not (N, m) at its boundary."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,)], ids=str)
+    @pytest.mark.parametrize("entry", list(SHIFT_ENTRIES))
+    def test_wrong_shape(self, entry, shape):
+        model = default_synthetic_hmog(3, 2, 4)
+        SHIFT_ENTRIES[entry](model, np.zeros((3, 2)))  # a good batch passes
+        message = re.escape(f"expected shifts of dimension 2, got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SHIFT_ENTRIES[entry](model, np.zeros(shape))
+
+    def test_wrong_length_mean_statistic(self):
+        model = default_synthetic_hmog(3, 2, 4)
+        message = re.escape("expected mean observable statistic of length 8, got (7,)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hh.hmog_mean_log_likelihood_from_terms(model, np.zeros((3, 2)), np.zeros(7))
+
+
 class TestEmMonotone:
     """Exact EM never lowers the mean log-likelihood by more than 1e-9.
 

@@ -1,5 +1,6 @@
 """Training pipeline: data handling, drivers, cross-validation, reports."""
 
+import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -14,9 +15,11 @@ from hmog import pipeline as pl
 from hmog.families import DomainError, MultivariateNormal, Structure
 from hmog.optim import AdamConfig
 from hmog.pipeline import (
+    CvCell,
     CvReport,
     Dataset,
     FitConfig,
+    FitReport,
     canonical_json,
     cross_validate,
     default_synthetic_hmog,
@@ -37,6 +40,11 @@ from hmog.pipeline import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def moments_of(points, structure):
+    """The data moments a fit of ``points`` under ``structure`` shares."""
+    return lg.data_moments(MultivariateNormal(points.shape[1], structure), points)
 
 
 def small_cfg(method, **overrides):
@@ -64,6 +72,22 @@ class TestLoadCsv:
         data = load_csv(path)
         np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
         assert data.labels is None
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        """A UTF-8 byte-order mark does not turn the first row into a header."""
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
+        assert data.feature_names is None
+
+    def test_byte_order_mark_with_header(self, tmp_path):
+        path = tmp_path / "bom-header.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b,c\nx,1.0,2.0\ny,3.0,4.0\n")
+        data = load_csv(path, label_column="a")
+        assert data.feature_names == ("b", "c")
+        assert data.label_names == ("x", "y")
+        np.testing.assert_array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -134,13 +158,15 @@ class TestGenSynthetic:
 class TestInitializers:
     def test_init_lgm_rejects_constant_column(self):
         data = np.column_stack([np.ones(50), np.arange(50.0)])
+        moments = moments_of(data, Structure.DIAGONAL)
         with pytest.raises(DomainError, match="zero-variance"):
-            init_lgm(data, 1, Structure.DIAGONAL, seed=0)
+            init_lgm(moments, 1, Structure.DIAGONAL, seed=0)
 
     def test_init_lgm_matches_empirical_variance(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(100_000, 2))
-        model = init_lgm(data, 1, Structure.ISOTROPIC, seed=0)
+        moments = moments_of(data, Structure.ISOTROPIC)
+        model = init_lgm(moments, 1, Structure.ISOTROPIC, seed=0)
         _, noise, loading = lg.lgm_to_standard(model)
         assert noise == pytest.approx(1.0, rel=0.02)
         assert np.max(np.abs(loading)) <= 0.01
@@ -152,8 +178,9 @@ class TestInitializers:
     def test_init_lgm_deterministic(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(50, 3))
-        a = init_lgm(data, 2, Structure.DIAGONAL, seed=5)
-        b = init_lgm(data, 2, Structure.DIAGONAL, seed=5)
+        moments = moments_of(data, Structure.DIAGONAL)
+        a = init_lgm(moments, 2, Structure.DIAGONAL, seed=5)
+        b = init_lgm(moments, 2, Structure.DIAGONAL, seed=5)
         np.testing.assert_array_equal(a.interaction, b.interaction)
 
     def test_init_mog_scheme(self):
@@ -253,11 +280,31 @@ class TestFitTwoStage:
             method, latent_dim=2, stage1_iters=15, stage2_iters=1, restarts=2
         )
         _, _, report = fit_two_stage(data, cfg)
-        lgm = init_lgm(data.points, 2, cfg.structure, cfg.seed + report.restart_index)
+        moments = moments_of(data.points, cfg.structure)
+        lgm = init_lgm(moments, 2, cfg.structure, cfg.seed + report.restart_index)
         for score in report.stages[0].log_likelihoods:
             lgm = lg.lgm_em_step(lgm, data.points)
             per_point = float(np.mean(lg.lgm_log_densities(lgm, data.points)))
             assert abs(score - per_point) <= 1e-12 * abs(per_point)
+
+    @pytest.mark.parametrize("method", ["two_stage_pca", "two_stage_fa"])
+    def test_stage_one_replays_from_init_lgm_exactly(self, method):
+        """`init_lgm` of the data moments is the start the winning restart ran."""
+        data = gen_synthetic(default_synthetic_hmog(3, 2, 4), 1000, seed=1)
+        cfg = small_cfg(
+            method, latent_dim=2, clusters=3, stage1_iters=15, stage2_iters=1,
+            restarts=2,
+        )
+        _, _, report = fit_two_stage(data, cfg)
+        moments = moments_of(data.points, cfg.structure)
+        lgm = init_lgm(moments, 2, cfg.structure, cfg.seed + report.restart_index)
+        current = lg.lgm_moment_pass(lgm, moments)
+        scores = []
+        for _ in range(cfg.stage1_iters):
+            lgm = lg.lgm_backward(lgm.obs, lgm.lat, *current.target)
+            current = lg.lgm_moment_pass(lgm, moments)
+            scores.append(current.mean_log_likelihood)
+        assert tuple(scores) == report.stages[0].log_likelihoods
 
     @pytest.mark.parametrize("method", ["two_stage_fa", "hmog_pca"])
     def test_moments_computed_once_per_fit(self, synthetic_data, monkeypatch, method):
@@ -530,8 +577,7 @@ class TestFactorizationCount:
         points = load_csv(DATA_DIR / "iris.csv", label_column="species").points
         cfg = FitConfig(method="hmog_fa", latent_dim=2, clusters=3, seed=1)
         moments = pl._fit_moments(points, cfg)
-        variances = np.diag(moments.covariance)
-        lgm = pl._initial_lgm(moments.mean, variances, 2, cfg.structure, cfg.seed)
+        lgm = init_lgm(moments, 2, cfg.structure, cfg.seed)
         current = lg.lgm_moment_pass(lgm, moments)
         calls, cholesky = [], np.linalg.cholesky
 
@@ -587,6 +633,23 @@ class TestFactorizationCount:
         hh.hmog_forward(model)
         hh.hmog_sample(model, 10, np.random.default_rng(0))
         hh.disassemble_hmog(model)
+        assert contexts.count("observable natural parameters") == 1
+
+    def test_split_model_shares_the_observable_factor(self, monkeypatch):
+        """p(x | y) of `disassemble_hmog` reuses the model's observable factor."""
+        truth = default_synthetic_hmog(3, 2, 4)
+        text = canonical_json(model_to_dict(truth, "hmog_fa", 0))
+        model = replace(model_from_dict(json.loads(text)))  # no state built yet
+        contexts, scale = [], MultivariateNormal._scale
+
+        def counting(self, theta, context="normal natural parameters"):
+            contexts.append(context)
+            return scale(self, theta, context)
+
+        monkeypatch.setattr(MultivariateNormal, "_scale", counting)
+        model.prepared
+        lgm, _ = hh.disassemble_hmog(model)
+        lg.lgm_to_standard(lgm)
         assert contexts.count("observable natural parameters") == 1
 
     def test_sampling_factors_the_components_once(self, monkeypatch):
@@ -834,8 +897,6 @@ class TestSerialization:
         assert len(lines) == 1 + len(report.trajectory)
 
     def test_grid_csv_rectangular(self, tmp_path):
-        from hmog.pipeline import CvCell
-
         report = CvReport(
             method="two_stage_pca", folds=5, seed=0,
             cells=(
@@ -858,3 +919,30 @@ class TestSerialization:
         _, _, report = fit_two_stage(data, cfg)
         assert report.wall_time_s > 0
         assert "wall_time" not in json.dumps(report_to_dict(report))
+
+    def test_fit_report_keys_are_its_fields(self, synthetic_data):
+        """Every `FitReport` field but the wall time reaches the JSON."""
+        _, data = synthetic_data
+        cfg = small_cfg("hmog_pca", stage1_iters=3, stage2_iters=3, hmog_iters=2)
+        _, report = fit_model(data, cfg)
+        payload = json.loads(canonical_json(report_to_dict(report)))
+        fields = {field.name for field in dataclasses.fields(FitReport)}
+        assert set(payload) == fields - {"wall_time_s"} | {"type"}
+        assert payload["type"] == "fit_report"
+        assert payload["stages"] == [
+            {"name": trace.name, "log_likelihoods": list(trace.log_likelihoods)}
+            for trace in report.stages
+        ]
+
+    def test_cv_cell_keys_are_its_fields(self):
+        report = CvReport(
+            method="two_stage_pca", folds=2, seed=0, cells=(CvCell(1, 2, (-1.0, -1.5)),)
+        )
+        payload = json.loads(canonical_json(report_to_dict(report)))
+        fields = {field.name for field in dataclasses.fields(CvReport)}
+        assert set(payload) == fields | {"type"}
+        cell_fields = {field.name for field in dataclasses.fields(CvCell)}
+        (cell,) = payload["cells"]
+        assert set(cell) == cell_fields | {"mean", "std"}
+        assert cell["mean"] == report.cells[0].mean
+        assert cell["std"] == report.cells[0].std
