@@ -64,7 +64,6 @@ from .pipeline import (
     cross_validate,
     default_synthetic_hmog,
     export_report,
-    fit_hmog,
     fit_model,
     fit_two_stage,
     gen_synthetic,

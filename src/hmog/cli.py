@@ -17,6 +17,7 @@ import numpy as np
 
 from .hierarchical import hmog_classify_batch, hmog_project_batch
 from .pipeline import (
+    METHODS,
     FitConfig,
     canonical_json,
     cross_validate,
@@ -30,7 +31,7 @@ from .pipeline import (
     report_to_dict,
 )
 
-CLI_METHODS = ("two-stage-pca", "two-stage-fa", "hmog-pca", "hmog-fa")
+CLI_METHODS = tuple(method.replace("_", "-") for method in METHODS)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

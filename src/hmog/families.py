@@ -70,8 +70,11 @@ class DomainError(ValueError):
 
     Raised when a definiteness constraint fails (e.g. a covariance loses
     positive-definiteness) or a mean vector sits on the boundary of the
-    mean-parameter space. Never silently regularized.
+    mean-parameter space. Never silently regularized. ``component`` is the
+    1-based mixture component at fault, when one is.
     """
+
+    component: int | None = None
 
 
 class Structure(enum.Enum):

@@ -38,7 +38,8 @@ Model blocks are read-only copies, so prepared state never goes stale.
 The six natural-parameter blocks are named once, in `BLOCK_NAMES`;
 `block_shapes` gives their shapes and `hmog_blocks` a model's blocks:
 the model's own shape check, the finiteness check, the flat packing and
-the model JSON all go through the two.
+the model JSON all go through the two, and every DomainError of the
+prepared build names its block.
 
 The maximization step is exact and closed-form: log p(x, y, z) splits
 into log p(x | y) + log p(y, z) over disjoint parameter blocks, so the
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,7 +113,6 @@ __all__ = [
     "pack_params",
     "unpack_params",
     "pack_means",
-    "block_slices",
     "valid_blocks",
 ]
 
@@ -239,11 +240,12 @@ def _check_finite(h: Hmog) -> None:
 def _prepare(h: Hmog) -> PreparedHmog:
     """Double conjugation of a model from its parameters alone.
 
-    Raises DomainError naming a non-finite block, a non-negative
-    observable second-order block, or a feature-prior component whose
-    precision (the joint feature-block Schur complement) is not
-    positive-definite; posterior precisions add a positive semi-definite
-    term to those, so they are then valid as well.
+    Raises DomainError naming the block at fault: a non-finite one, a
+    non-negative observable second-order block (``theta_xx``), or a
+    feature-prior component whose precision (the joint feature-block Schur
+    complement) is not positive-definite (``theta_y`` for component 1,
+    ``theta_yz`` for a later one); posterior precisions add a positive
+    semi-definite term to those, so they are then valid as well.
     """
     _check_finite(h)
     conj = _likelihood_conjugation(h._likelihood)
@@ -266,17 +268,19 @@ def _likelihood_conjugation(lgm: LinearGaussianModel) -> ConjugationParams:
 
 def _prepared_hmog(h: Hmog, prior: MixtureModel, rho0: float) -> PreparedHmog:
     """The state of ``h`` from its feature prior and likelihood ``rho0``."""
-    try:
-        log_partition = mixture_log_partition(prior) + rho0
-    except DomainError as exc:
-        raise DomainError(f"feature prior {exc}") from None
     posterior = MixtureModel(
         lat=h.lat,
         base_params=h.lat_params,
         cat_params=h.cat_params,
         interaction=h.lat_interaction,
     )
-    posterior.prepared  # factor now, so failures surface here
+    try:
+        log_partition = mixture_log_partition(prior) + rho0
+        posterior.prepared  # factor now, so failures surface here
+    except DomainError as exc:
+        # A failure of no single component is charged to theta_y, the base block.
+        block = "theta_y" if exc.component in (None, 1) else "theta_yz"
+        raise DomainError(f"{block}: feature prior {exc}") from None
     return PreparedHmog(prior=prior, posterior=posterior, log_partition=log_partition)
 
 
@@ -361,26 +365,6 @@ def hmog_mean_log_likelihood(h: Hmog, xs: NDArray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def block_slices(h: Hmog) -> dict[str, slice]:
-    """Slices of the flat parameter vector, one per natural-parameter block."""
-    n = h.obs.dim
-    sizes = {
-        "obs_first": n,
-        "obs_second": h.obs.param_dim - n,
-        "lat_first": h.lat.dim,
-        "lat_second": h.lat.param_dim - h.lat.dim,
-        "cat": len(h.cat_params),
-        "obs_interaction": h.obs_interaction.size,
-        "lat_interaction": h.lat_interaction.size,
-    }
-    slices = {}
-    start = 0
-    for name, size in sizes.items():
-        slices[name] = slice(start, start + size)
-        start += size
-    return slices
-
-
 def block_shapes(
     obs: MultivariateNormal, lat: MultivariateNormal, clusters: int
 ) -> dict[str, tuple[int, ...]]:
@@ -439,42 +423,17 @@ def pack_means(
 
 
 def valid_blocks(h: Hmog) -> list[str]:
-    """Names of parameter blocks violating the model domain (empty if valid).
+    """The `BLOCK_NAMES` blocks the prepared build names as outside the domain.
 
-    Deprecated: the exact M-step no longer needs a domain guard, and
-    nothing in the package calls this; it is kept for existing callers.
-
-    The model is valid when the observable second-order block is negative
-    (per structure) and every component's joint precision has a
-    positive-definite feature-block Schur complement; the latter also
-    guarantees validity of every shifted feature parameter the density and
-    forward computations touch.
+    Deprecated: nothing in the package calls this; it is kept for existing
+    callers. Empty when `Hmog.prepared` builds; otherwise the blocks its
+    DomainError names, in `BLOCK_NAMES` order.
     """
-    slices = block_slices(h)
-    flat = pack_params(h)
-    bad = [name for name, sl in slices.items() if not np.all(np.isfinite(flat[sl]))]
-    if bad:
-        return bad
-
     try:
-        _, solve, _, _ = h.obs._scale(h.obs_params)
-    except DomainError:
-        return ["obs_second"]
-    quad = h.obs_interaction.T @ solve(h.obs_interaction)
-
-    violations = []
-    _, lat_second = h.lat.split_natural(h.lat_params)
-    for z in range(1, h.num_clusters + 1):
-        second = lat_second
-        if z > 1:
-            _, offset = h.lat.split_natural(h.lat_interaction[:, z - 2])
-            second = second + offset
-        schur = -2.0 * second - quad
-        try:
-            np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError:
-            violations.append("lat_second" if z == 1 else "lat_interaction")
-    return sorted(set(violations))
+        h.prepared
+    except DomainError as exc:
+        return [name for name in BLOCK_NAMES if re.search(rf"\b{name}\b", str(exc))]
+    return []
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ def _factor_components(matrices: NDArray, what: str) -> NDArray:
 
     Only when the stacked factorization fails are the components factored
     one at a time, to raise DomainError ``component z <what> is not
-    positive-definite`` for the first that fails, a non-finite one
-    included.
+    positive-definite``, with ``component`` set to ``z``, for the first
+    that fails, a non-finite one included.
     """
     try:
         return _cholesky(matrices, what)
@@ -218,9 +218,9 @@ def _factor_components(matrices: NDArray, what: str) -> NDArray:
             try:
                 _cholesky(matrix, what)
             except DomainError:
-                raise DomainError(
-                    f"component {z} {what} is not positive-definite"
-                ) from None
+                error = DomainError(f"component {z} {what} is not positive-definite")
+                error.component = z
+                raise error from None
         raise
 
 

@@ -93,7 +93,6 @@ __all__ = [
     "init_lgm",
     "init_mog",
     "fit_two_stage",
-    "fit_hmog",
     "fit_model",
     "cross_validate",
     "score_classification",
@@ -281,14 +280,14 @@ def init_lgm(
 ) -> LinearGaussianModel:
     """The stage-1 start of every fit, from `linear_gaussian.data_moments`.
 
-    Mean ``moments.mean``, variances ``np.diag(moments.covariance)`` (pooled
-    if tied), loading uniform in [-0.01, 0.01] from ``default_rng(seed)``.
+    Mean ``moments.mean``, noise ``moments.covariance`` as the structure
+    keeps it (its diagonal, pooled if tied; all of it for FULL), loading
+    uniform in [-0.01, 0.01] from ``default_rng(seed)``.
     """
-    variances = np.diag(moments.covariance)
-    _check_variances(variances)
+    _check_variances(np.diag(moments.covariance))
     rng = np.random.default_rng(seed)
     loading = rng.uniform(-0.01, 0.01, size=(len(moments.mean), latent_dim))
-    return lgm_from_standard(moments.mean, np.diag(variances), loading, structure)
+    return lgm_from_standard(moments.mean, moments.covariance, loading, structure)
 
 
 def _check_variances(variances: NDArray) -> None:
@@ -567,24 +566,13 @@ def fit_two_stage(
     return lgm, mog, report
 
 
-def fit_hmog(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
-    """Unified training: two-stage initialization, then joint EM.
-
-    Each restart continues its assembled two-stage model with
-    ``cfg.hmog_iters`` EM iterations whose maximization step is exact, so
-    the final train log-likelihood never falls below the two-stage value.
-    Each iteration hands its fused posterior pass to the next, so an
-    iteration scores the data once. A two-stage method's configuration
-    raises ValueError.
-    """
-    if not cfg.unified:
-        raise ValueError(f"fit_hmog: {cfg.method} is a two-stage method")
-    _, _, model, report = _fit(data, cfg)
-    return model, report
-
-
 def fit_model(data: Dataset | NDArray, cfg: FitConfig) -> tuple[Hmog, FitReport]:
-    """Fit by any method, always returning the assembled hierarchical model."""
+    """Fit by any method, always returning the assembled hierarchical model.
+
+    A unified method continues each restart's assembled two-stage model
+    with ``cfg.hmog_iters`` EM iterations whose maximization step is exact,
+    so its final train log-likelihood never falls below the two-stage value.
+    """
     _, _, model, report = _fit(data, cfg)
     return model, report
 

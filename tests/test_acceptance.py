@@ -30,7 +30,7 @@ from hmog.pipeline import (
     FitConfig,
     cross_validate,
     default_synthetic_hmog,
-    fit_hmog,
+    fit_model,
     fit_two_stage,
     gen_synthetic,
     load_csv,
@@ -75,7 +75,7 @@ def iris_fits():
             stage1_iters=100, stage2_iters=100, hmog_iters=110,
             restarts=1, seed=1,
         )
-        reports[method] = fit_hmog(data, cfg)[1]
+        reports[method] = fit_model(data, cfg)[1]
     return reports, time.perf_counter() - start
 
 
@@ -124,7 +124,7 @@ def synthetic_runs():
     )
     lgm_pca, _, _ = fit_two_stage(train, FitConfig(method="two_stage_pca", **base))
     _, _, rep_fa = fit_two_stage(train, FitConfig(method="two_stage_fa", **base))
-    model, rep_hmog = fit_hmog(
+    model, rep_hmog = fit_model(
         train,
         FitConfig(method="hmog_fa", hmog_iters=400, **base),
     )

@@ -624,6 +624,15 @@ class TestBlockTable:
 
 
 class TestValidityGuard:
+    """`valid_blocks` reads the prepared build that every load runs."""
+
+    @staticmethod
+    def assert_named(bad, block):
+        """``bad`` fails `valid_blocks` and the JSON load, both naming ``block``."""
+        assert hh.valid_blocks(bad) == [block]
+        with pytest.raises(DomainError, match=f"^{block}: "):
+            model_from_dict(model_to_dict(bad, "hmog_fa", 0))
+
     def test_valid_model_has_no_violations(self):
         rng = np.random.default_rng(21)
         model, _, _ = random_hmog(rng)
@@ -632,18 +641,58 @@ class TestValidityGuard:
     def test_indefinite_observable_detected(self):
         rng = np.random.default_rng(22)
         model, _, _ = random_hmog(rng)
-        bad = hh.unpack_params(model, hh.pack_params(model))
-        flat = hh.pack_params(bad)
-        flat[hh.block_slices(bad)["obs_second"]] = 0.5
-        assert "obs_second" in hh.valid_blocks(hh.unpack_params(bad, flat))
+        blocks = hh.hmog_blocks(model)
+        blocks["theta_xx"] = np.full(3, 0.5)
+        self.assert_named(hh.hmog_from_blocks(model.obs, model.lat, blocks), "theta_xx")
 
     def test_indefinite_component_detected(self):
         rng = np.random.default_rng(23)
         model, _, _ = random_hmog(rng, n=2, m=1, k=2)
-        flat = hh.pack_params(model)
-        sl = hh.block_slices(model)["lat_interaction"]
-        flat[sl.stop - 1] = 1e4  # explode component 2's second-order offset
-        assert "lat_interaction" in hh.valid_blocks(hh.unpack_params(model, flat))
+        blocks = hh.hmog_blocks(model)
+        blocks["theta_yz"] = blocks["theta_yz"].copy()
+        blocks["theta_yz"][-1, 0] = 1e4  # explode component 2's second-order offset
+        self.assert_named(hh.hmog_from_blocks(model.obs, model.lat, blocks), "theta_yz")
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    def test_one_check_for_load_and_valid_blocks(self, data):
+        """`valid_blocks` is empty exactly when the JSON round trip loads.
+
+        Each random model gets one corruption: a non-finite entry in any
+        block, a positive ``theta_xx`` entry, or an exploded second-order
+        offset in ``theta_yz``. A non-empty result names the corrupted block.
+        """
+        structure = data.draw(st.sampled_from([Structure.DIAGONAL, Structure.ISOTROPIC]))
+        k = data.draw(st.integers(1, 3), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        model, _, _ = random_hmog(np.random.default_rng(seed), k=k, structure=structure)
+        blocks = {name: block.copy() for name, block in hh.hmog_blocks(model).items()}
+        kinds = ["non-finite", "theta_xx"] + (["theta_yz"] if k > 1 else [])
+        kind = data.draw(st.sampled_from(kinds), label="corruption")
+        if kind == "non-finite":
+            block = data.draw(st.sampled_from([n for n, b in blocks.items() if b.size]))
+            entry = data.draw(st.integers(0, blocks[block].size - 1))
+            blocks[block].flat[entry] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif kind == "theta_xx":
+            block = kind
+            entry = data.draw(st.integers(0, blocks[block].size - 1))
+            blocks[block][entry] = data.draw(st.floats(1e-3, 10.0))
+        else:
+            block = kind
+            row = data.draw(st.integers(model.lat_dim, model.lat.param_dim - 1))
+            column = data.draw(st.integers(0, k - 2))
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            blocks[block][row, column] = sign * data.draw(st.floats(1e3, 1e6))
+        bad = hh.hmog_from_blocks(model.obs, model.lat, blocks)
+        method = "hmog_pca" if structure is Structure.ISOTROPIC else "hmog_fa"
+        try:
+            model_from_dict(model_to_dict(bad, method, 0))
+            loads = True
+        except DomainError:
+            loads = False
+        names = hh.valid_blocks(bad)
+        assert (names == []) == loads
+        assert names in ([], [block])
 
 
 class TestPointChecks:
@@ -938,7 +987,7 @@ class TestDomainChecks:
         bad = dataclasses.replace(model, lat_interaction=interaction)
         with pytest.raises(
             DomainError,
-            match="^feature prior component 2 precision is not positive-definite$",
+            match="^theta_yz: feature prior component 2 precision is not positive-definite$",
         ):
             hh.hmog_classify_batch(bad, np.zeros((1, 2)))
 

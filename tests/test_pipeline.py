@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from hmog.pipeline import (
     cross_validate,
     default_synthetic_hmog,
     export_report,
-    fit_hmog,
     fit_model,
     fit_two_stage,
     gen_synthetic,
@@ -182,6 +182,18 @@ class TestInitializers:
         a = init_lgm(moments, 2, Structure.DIAGONAL, seed=5)
         b = init_lgm(moments, 2, Structure.DIAGONAL, seed=5)
         np.testing.assert_array_equal(a.interaction, b.interaction)
+
+    def test_init_lgm_builds_no_square_matrix(self):
+        """A start of n = 2000 variances stays far below one n x n matrix (30.5 MiB)."""
+        rng = np.random.default_rng(7)
+        moments = moments_of(rng.normal(size=(600, 2000)), Structure.DIAGONAL)
+        tracemalloc.start()
+        try:
+            init_lgm(moments, 5, Structure.DIAGONAL, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_init_mog_scheme(self):
         """Components share the fitted covariance; weights are uniform."""
@@ -363,16 +375,10 @@ class TestFitTwoStage:
 
 
 class TestFitHmog:
-    @pytest.mark.parametrize("method", ["two_stage_pca", "two_stage_fa"])
-    def test_two_stage_method_rejected(self, synthetic_data, method):
-        _, data = synthetic_data
-        with pytest.raises(ValueError, match=f"fit_hmog: {method} is a two-stage"):
-            fit_hmog(data, small_cfg(method))
-
     def test_zero_unified_iterations_returns_assembled_two_stage(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("hmog_fa", hmog_iters=0)
-        model, report = fit_hmog(data, cfg)
+        model, report = fit_model(data, cfg)
         lgm, mog, ts_report = fit_two_stage(
             data, small_cfg("two_stage_fa", hmog_iters=0)
         )
@@ -388,22 +394,22 @@ class TestFitHmog:
     def test_final_at_least_two_stage(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("hmog_fa", hmog_iters=8)
-        model, report = fit_hmog(data, cfg)
+        model, report = fit_model(data, cfg)
         two_stage_final = report.stages[1].log_likelihoods[-1]
         assert report.final_train_log_likelihood >= two_stage_final - 1e-6
 
     def test_unified_monotone_within_tolerance(self, synthetic_data):
         _, data = synthetic_data
         cfg = small_cfg("hmog_fa", hmog_iters=10)
-        _, report = fit_hmog(data, cfg)
+        _, report = fit_model(data, cfg)
         unified = np.asarray(report.stages[2].log_likelihoods)
         assert len(unified) == 10
         assert np.min(np.diff(unified)) > -1e-9
 
     def test_deprecated_adam_config_ignored(self, synthetic_data):
         _, data = synthetic_data
-        _, plain = fit_hmog(data, small_cfg("hmog_fa"))
-        _, legacy = fit_hmog(
+        _, plain = fit_model(data, small_cfg("hmog_fa"))
+        _, legacy = fit_model(
             data, small_cfg("hmog_fa", adam=AdamConfig(learning_rate=1e-2, steps=3))
         )
         assert report_to_dict(legacy) == report_to_dict(plain)
@@ -872,7 +878,7 @@ class TestSerialization:
         truth, _ = synthetic_data
         payload = model_to_dict(truth, "hmog_fa", seed=3)
         payload["params"]["theta_yz"][-1][0] = 1e4
-        with pytest.raises(DomainError, match="component 2"):
+        with pytest.raises(DomainError, match="^theta_yz: feature prior component 2 "):
             model_from_dict(payload)
 
     def test_json_write_read_write_identical(self, tmp_path, synthetic_data):
